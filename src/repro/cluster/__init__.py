@@ -31,8 +31,6 @@ the reproduction to that setting:
     fleet as numpy arrays (mean-field browsers, mask-based lifecycle) for
     million-user / thousand-node scenarios, validated against the exact
     engines on overlapping scales.
-``repro.cluster.timeline``
-    The exact tick arithmetic the event-driven machinery schedules with.
 ``repro.cluster.status``
     Capacity-weighted availability, outage and degraded-capacity
     accounting, per node and for the whole fleet.

@@ -16,7 +16,10 @@ loop with per-tick numpy array operations over the entire fleet:
 * crash and rejuvenation lifecycle are int8 state-mask updates, and
 * the M5P feature pipeline runs through the vectorized
   :class:`~repro.testbed.fluid.FluidFeatureBank` plus one batch
-  ``AgingPredictor.predict_matrix`` call per mark.
+  ``AgingPredictor.predict_matrix`` call per mark, which routes the due
+  nodes' rows down the M5P tree as index arrays and sums each node's linear
+  model column by column -- bit-for-bit the forecast each row would get on
+  its own, so batching is exact, not part of the approximation.
 
 Accuracy contract: aggregate, not bit-for-bit -- the validation harness
 (``tests/cluster/test_fluid_validation.py``) pins availability, crash counts

@@ -134,15 +134,9 @@ class AgingPredictor:
 
     def predict_trace(self, trace: Trace) -> np.ndarray:
         """Predict the time to failure at every monitoring mark of a trace."""
-        model = self._require_fitted()
-        matrix, names = self._catalog.compute(trace)
-        if self.requested_features is not None:
-            indices = [names.index(name) for name in self._selected_names]
-            matrix = matrix[:, indices]
-        predictions = model.predict(matrix)
-        if self.clip_predictions:
-            predictions = np.clip(predictions, 0.0, self.infinite_ttf)
-        return predictions
+        columns = self._catalog_columns()
+        matrix, _ = self._catalog.compute(trace)
+        return self._forecast(matrix, columns)
 
     def feature_stream(self) -> "FeatureStream":
         """Open an incremental computer of this predictor's feature rows.
@@ -161,16 +155,7 @@ class AgingPredictor:
         :meth:`predict_trace`, and every model predicts rows independently,
         so the result matches the batch path's last value bit-for-bit.
         """
-        model = self._require_fitted()
-        if self.requested_features is not None:
-            if self._selected_indices is None:
-                names = self._catalog.feature_names
-                self._selected_indices = [names.index(name) for name in self._selected_names]
-            row = row[self._selected_indices]
-        predictions = model.predict(row.reshape(1, -1))
-        if self.clip_predictions:
-            predictions = np.clip(predictions, 0.0, self.infinite_ttf)
-        return float(predictions[0])
+        return float(self._forecast(row.reshape(1, -1), self._catalog_columns())[0])
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         """Predict the time to failure of a batch of catalogue-ordered rows.
@@ -181,26 +166,38 @@ class AgingPredictor:
         in :meth:`predict_trace`.  The fluid cluster engine predicts every
         due node's mark through this in one call.
         """
-        model = self._require_fitted()
+        columns = self._catalog_columns()
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D [marks, features] matrix")
-        if self.requested_features is not None:
-            if self._selected_indices is None:
-                names = self._catalog.feature_names
-                self._selected_indices = [names.index(name) for name in self._selected_names]
-            rows = rows[:, self._selected_indices]
-        predictions = model.predict(rows)
-        if self.clip_predictions:
-            predictions = np.clip(predictions, 0.0, self.infinite_ttf)
-        return predictions
+        return self._forecast(rows, columns)
 
     def predict_dataset(self, dataset: AgingDataset) -> np.ndarray:
         """Predict the targets of a pre-built dataset (column-aligned)."""
-        model = self._require_fitted()
+        self._require_fitted()
         if dataset.feature_names != self._selected_names:
             dataset = dataset.select_feature_names(self._selected_names)
-        predictions = model.predict(dataset.features)
+        return self._forecast(dataset.features, None)
+
+    def _catalog_columns(self) -> list[int] | None:
+        """The trained columns of a full catalogue row (``None``: all of them)."""
+        self._require_fitted()
+        if self.requested_features is None:
+            return None
+        if self._selected_indices is None:
+            names = self._catalog.feature_names
+            self._selected_indices = [names.index(name) for name in self._selected_names]
+        return self._selected_indices
+
+    def _forecast(self, rows: np.ndarray, columns: list[int] | None) -> np.ndarray:
+        """Keep the trained ``columns`` of ``rows``, predict and clip.
+
+        Every ``predict_*`` method ends here, so feature selection and
+        clipping are the same on the batch, streaming and dataset paths.
+        """
+        if columns is not None:
+            rows = rows[:, columns]
+        predictions = self._require_fitted().predict(rows)
         if self.clip_predictions:
             predictions = np.clip(predictions, 0.0, self.infinite_ttf)
         return predictions

@@ -20,7 +20,26 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearRegressionModel"]
+__all__ = ["LinearRegressionModel", "prediction_rows"]
+
+
+def prediction_rows(features: Sequence[Sequence[float]], width: int) -> tuple[np.ndarray, bool]:
+    """Validate the input of a ``predict``: rows of ``width`` finite features.
+
+    Returns the rows as a 2-D float matrix and whether a single 1-D row was
+    given (whose prediction is then returned as a scalar).
+    """
+    x = np.asarray(features, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x.reshape(1, -1)
+    if x.ndim != 2:
+        raise ValueError("features must be a row or a 2-D matrix")
+    if x.shape[1] != width:
+        raise ValueError(f"expected {width} features, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
+    return x, single
 
 
 @dataclass
@@ -33,6 +52,14 @@ class _FittedState:
     attribute_names: list[str]
     training_rows: int
     training_sse: float
+    #: ``(column, coefficient)`` for every coefficient that is not exactly
+    #: ``0.0``, in ascending column order: what :meth:`evaluate` sums.
+    terms: tuple[tuple[int, float], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.terms = tuple(
+            (int(column), float(self.coefficients[column])) for column in np.flatnonzero(self.coefficients)
+        )
 
 
 class LinearRegressionModel:
@@ -184,31 +211,43 @@ class LinearRegressionModel:
     def predict(self, features: Sequence[Sequence[float]]) -> np.ndarray:
         """Predict targets for a feature matrix (or a single row).
 
-        The dot products accumulate sequentially in feature order, one row at
-        a time.  A BLAS ``x @ coefficients`` would be faster on huge matrices
-        but its SIMD kernels pick accumulation orders based on the operands'
-        memory alignment, so the *same* row can predict differently as a view
-        versus a copy -- poison for the streaming monitor, whose incremental
+        Every row is summed in the same order: ``0.0``, then
+        ``+ x[column] * coefficient`` for each of the model's terms in
+        ascending column order, then ``+ intercept``.  :meth:`evaluate` runs
+        these operations column by column over all rows at once, so a row
+        predicts bit-for-bit the same alone or in a batch, as a view or as a
+        copy, C- or Fortran-ordered, and as one row summed on Python floats
+        (M5P's one-row path).  A BLAS ``x @ coefficients`` must not replace
+        this: its SIMD kernels pick accumulation orders from the operands'
+        memory alignment, so the *same* row could predict differently as a
+        view and as a copy -- poison for the streaming monitor, whose
         single-row predictions must match batch replays bit-for-bit.
+
+        Terms whose coefficient is exactly ``0.0`` are skipped, which is exact
+        only for finite input: the running sum starts at ``+0.0`` and can never
+        become ``-0.0``, so adding ``x * 0.0 = +-0.0`` cannot change it, but
+        ``inf * 0.0`` is NaN.  Non-finite features are therefore rejected
+        with ``ValueError``, as :meth:`fit` rejects them.
         """
         state = self._require_fitted()
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x.reshape(1, -1)
-        if x.shape[1] != state.coefficients.shape[0]:
-            raise ValueError(
-                f"expected {state.coefficients.shape[0]} features, got {x.shape[1]}"
-            )
-        coefficients = state.coefficients.tolist()
-        intercept = state.intercept
-        predictions = np.empty(x.shape[0])
-        for index, row in enumerate(x.tolist()):
-            total = 0.0
-            for value, coefficient in zip(row, coefficients):
-                total += value * coefficient
-            predictions[index] = total + intercept
+        x, single = prediction_rows(features, state.coefficients.shape[0])
+        predictions = self.evaluate(x.T, np.zeros(x.shape[0]))
         return predictions[0] if single else predictions
+
+    def evaluate(self, columns, total: float | np.ndarray = 0.0) -> float | np.ndarray:
+        """The predict kernel: ``intercept + sum(columns[column] * coefficient)``.
+
+        ``columns`` is indexed by feature column: either one row as a list of
+        Python floats, or anything whose ``columns[j]`` is column ``j`` of the
+        rows being predicted (``x.T``, or a gather of some rows), in which
+        case ``total`` is a zero array of the row count and the result is an
+        array.  Both run the same IEEE operations in the same order.  Input
+        must be finite (see :meth:`predict`).
+        """
+        state = self._require_fitted()
+        for column, coefficient in state.terms:
+            total = total + columns[column] * coefficient
+        return total + state.intercept
 
     def predict_one(self, row: Sequence[float]) -> float:
         """Predict a single row and return a plain float."""

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.ml.linear_regression import LinearRegressionModel
+from repro.ml.linear_regression import LinearRegressionModel, prediction_rows
 
 __all__ = ["M5PModelTree", "M5Node"]
 
@@ -246,38 +246,68 @@ class M5PModelTree:
     # -------------------------------------------------------------- predict
 
     def predict(self, features: Sequence[Sequence[float]]) -> np.ndarray:
-        """Predict targets for a matrix (or a single row vector)."""
+        """Predict targets for a matrix (or a single row vector).
+
+        One row walks its root path on Python floats.  A batch is routed down
+        the tree as index arrays: each node evaluates its linear model on the
+        rows that reach it, column by column, and smoothing combines the
+        results on the way back up.  Both paths run the same IEEE operations
+        in the same order through :meth:`LinearRegressionModel.evaluate`, so
+        a row predicts bit-for-bit the same alone or in any batch.  Input
+        must be finite.
+        """
         root = self._require_fitted()
-        x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x.reshape(1, -1)
-        predictions = np.array([self._predict_row(root, row) for row in x])
+        x, single = prediction_rows(features, len(self._names))
+        if x.shape[0] == 1:
+            predictions = np.array([self._predict_path(root, x[0].tolist())])
+        else:
+            predictions = self._predict_rows(root, x.T, np.arange(x.shape[0]))
         return predictions[0] if single else predictions
 
     def predict_one(self, row: Sequence[float]) -> float:
         return float(self.predict(np.asarray(row, dtype=float)))
 
-    def _predict_row(self, root: M5Node, row: np.ndarray) -> float:
+    def _predict_path(self, root: M5Node, row: list[float]) -> float:
+        """One row: walk to its leaf, then smooth back up the path."""
         path: list[M5Node] = []
         node = root
         while not node.is_leaf:
             path.append(node)
-            assert node.left is not None and node.right is not None
             node = node.left if row[node.split_attribute] <= node.split_value else node.right
-        assert node.model is not None
-        prediction = node.model.predict_one(row)
+        prediction = node.model.evaluate(row)
         if not self.smoothing:
             return prediction
         child_samples = node.num_samples
         for ancestor in reversed(path):
-            assert ancestor.model is not None
-            ancestor_prediction = ancestor.model.predict_one(row)
-            prediction = (child_samples * prediction + _SMOOTHING_CONSTANT * ancestor_prediction) / (
-                child_samples + _SMOOTHING_CONSTANT
-            )
+            prediction = (
+                child_samples * prediction + _SMOOTHING_CONSTANT * ancestor.model.evaluate(row)
+            ) / (child_samples + _SMOOTHING_CONSTANT)
             child_samples = ancestor.num_samples
         return prediction
+
+    def _predict_rows(self, node: M5Node, columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """A batch: predictions of ``rows`` (indices into ``columns[j]``) below ``node``.
+
+        The result is smoothed up to ``node`` but not past it, exactly as
+        :meth:`_predict_path` has it on reaching ``node``.  Only the columns a
+        model uses are gathered for its rows, never the whole row matrix.
+        """
+        if node.is_leaf:
+            return node.model.evaluate(_Gather(columns, rows), np.zeros(rows.shape[0]))
+        if self.smoothing:
+            own = node.model.evaluate(_Gather(columns, rows), np.zeros(rows.shape[0]))
+        goes_left = columns[node.split_attribute][rows] <= node.split_value
+        predictions = np.empty(rows.shape[0])
+        for child, chosen in ((node.left, goes_left), (node.right, ~goes_left)):
+            if not chosen.any():
+                continue
+            below = self._predict_rows(child, columns, rows[chosen])
+            if self.smoothing:
+                below = (child.num_samples * below + _SMOOTHING_CONSTANT * own[chosen]) / (
+                    child.num_samples + _SMOOTHING_CONSTANT
+                )
+            predictions[chosen] = below
+        return predictions
 
     # ----------------------------------------------------------- inspection
 
@@ -355,6 +385,19 @@ class M5PModelTree:
         self._describe_node(node.left, lines, indent + 1, precision)
         lines.append(f"{pad}{name} > {node.split_value:.{precision}g}:")
         self._describe_node(node.right, lines, indent + 1, precision)
+
+
+class _Gather:
+    """Some rows of a batch, by column: ``_Gather(x.T, rows)[j]`` is ``x[rows, j]``."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: np.ndarray, rows: np.ndarray) -> None:
+        self.columns = columns
+        self.rows = rows
+
+    def __getitem__(self, column: int) -> np.ndarray:
+        return self.columns[column][self.rows]
 
 
 def _error_adjustment(rows: int, parameters: int) -> float:

@@ -136,22 +136,34 @@ class RegressionTree:
     # -------------------------------------------------------------- predict
 
     def predict(self, features: Sequence[Sequence[float]]) -> np.ndarray:
+        """Predict a matrix (or a single row vector).
+
+        The rows are routed down the tree as index arrays, each leaf writing
+        its value into the rows that reach it.
+        """
         root = self._require_fitted()
         x = np.asarray(features, dtype=float)
         single = x.ndim == 1
         if single:
             x = x.reshape(1, -1)
-        predictions = np.array([self._predict_row(root, row) for row in x])
+        predictions = np.empty(x.shape[0])
+        self._fill_leaves(root, x.T, np.arange(x.shape[0]), predictions)
         return predictions[0] if single else predictions
 
     def predict_one(self, row: Sequence[float]) -> float:
         return float(self.predict(np.asarray(row, dtype=float)))
 
-    def _predict_row(self, node: TreeNode, row: np.ndarray) -> float:
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            node = node.left if row[node.split_attribute] <= node.split_value else node.right
-        return node.value
+    def _fill_leaves(
+        self, node: TreeNode, columns: np.ndarray, rows: np.ndarray, predictions: np.ndarray
+    ) -> None:
+        """Write the leaf value of every row in ``rows`` (indices into ``columns[j]``)."""
+        if node.is_leaf:
+            predictions[rows] = node.value
+            return
+        goes_left = columns[node.split_attribute][rows] <= node.split_value
+        for child, chosen in ((node.left, goes_left), (node.right, ~goes_left)):
+            if chosen.any():
+                self._fill_leaves(child, columns, rows[chosen], predictions)
 
     # ----------------------------------------------------------- inspection
 

@@ -35,6 +35,7 @@ from repro.service.mutations import (
     MUTATION_KINDS,
     MutationCommand,
     MutationError,
+    MutationRefused,
     apply_mutation,
     parse_mutation,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "MUTATION_KINDS",
     "MutationCommand",
     "MutationError",
+    "MutationRefused",
     "apply_mutation",
     "parse_mutation",
     "SessionRecorder",

@@ -21,6 +21,7 @@ from typing import Mapping
 __all__ = [
     "MUTATION_KINDS",
     "MutationError",
+    "MutationRefused",
     "MutationCommand",
     "parse_mutation",
     "apply_mutation",
@@ -32,6 +33,14 @@ MUTATION_KINDS = ("load", "kill", "rejuvenate", "leak_rate")
 
 class MutationError(ValueError):
     """A mutation request that cannot be parsed or applied (HTTP 400)."""
+
+
+class MutationRefused(MutationError):
+    """A well-formed command the session can no longer take (HTTP 409).
+
+    Raised once the session has reached its horizon or finished: a command
+    stamped there could not affect the run, so it is refused, not recorded.
+    """
 
 
 def _require_int(params: Mapping[str, object], key: str, *, minimum: int) -> int:

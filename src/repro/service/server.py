@@ -17,7 +17,8 @@ Endpoints::
     GET  /availability  the FleetStatus accumulator snapshot
     GET  /commands      the tick-stamped mutation log so far
     GET  /telemetry/stream   server-sent events over the sim-channel trace
-    POST /mutations     apply a mutation at the next tick boundary
+    POST /mutations     apply a mutation at the next tick boundary (400 if
+                        malformed, 409 once the horizon is reached)
     POST /pause, /resume     freeze / unfreeze simulation time
     POST /shutdown      finish the run, persist artifacts, stop the server
 """
@@ -30,7 +31,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service.dashboard import DASHBOARD_HTML
-from repro.service.mutations import MutationError
+from repro.service.mutations import MutationError, MutationRefused
 from repro.service.session import SimulationSession
 from repro.telemetry.hub import SIM
 
@@ -135,6 +136,8 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
             if path == "/mutations":
                 try:
                     command = session.submit_mutation(self._read_json_body())
+                except MutationRefused as error:
+                    self._send_error_json(409, str(error))
                 except MutationError as error:
                     self._send_error_json(400, str(error))
                 else:

@@ -33,7 +33,7 @@ from repro.cluster.coordinator import (
 from repro.cluster.routing import AgingAwareRouting
 from repro.experiments.cluster import build_cluster_engine, train_cluster_predictor
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
-from repro.service.mutations import MutationCommand, MutationError, apply_mutation, parse_mutation
+from repro.service.mutations import MutationCommand, MutationRefused, apply_mutation, parse_mutation
 from repro.telemetry import Telemetry, write_sidecar, write_sidecar_text
 from repro.telemetry import runtime as telemetry_runtime
 from repro.testbed.timeline import first_tick_at_or_after
@@ -366,11 +366,21 @@ class SimulationSession:
     # ------------------------------------------------------------ mutations
 
     def submit_mutation(self, payload: Mapping[str, object]) -> dict:
-        """Parse, apply at the next boundary, record and return the command."""
+        """Parse, apply at the next boundary, record and return the command.
+
+        A malformed command raises :class:`MutationError`; a well-formed one
+        arriving at or past the horizon, or after :meth:`finish`, raises
+        :class:`MutationRefused` and records nothing.
+        """
         kind, params = parse_mutation(payload)
         with self._lock:
             if self._result is not None or self.engine.finished:
-                raise MutationError("the session has already finished")
+                raise MutationRefused("the session has already finished")
+            if self.engine.current_tick >= self.horizon_ticks:
+                raise MutationRefused(
+                    f"the session has reached its horizon (tick {self.horizon_ticks}); "
+                    "a command there cannot take effect"
+                )
             apply_mutation(self.engine, kind, params)
             command = MutationCommand(
                 tick=self.engine.current_tick, seq=self._seq, kind=kind, params=params

@@ -24,7 +24,7 @@ Two kinds of helpers exist for the two kinds of schedules in the system:
 
 This module used to live at ``repro.cluster.timeline``; it moved into the
 testbed layer when the event scheduler became shared between the
-single-server and cluster engines (the old import path remains as an alias).
+single-server and cluster engines.
 """
 
 from __future__ import annotations

@@ -7,14 +7,28 @@ engines end to end.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.service.session import build_service_manifest
 
 
+#: Wall seconds per simulated tick of the live sessions that take requests.
+#: An unpaced stepper re-takes the session lock the moment it lets go, so a
+#: request could wait until the horizon; paced, it sleeps between chunks.
+PACE = 0.001
+
+
 def canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def wait_for_tick(session, tick, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while session.fleet_status()["tick"] < tick:
+        assert time.monotonic() < deadline, f"fleet never reached tick {tick}"
+        time.sleep(0.01)
 
 
 @pytest.fixture

@@ -15,13 +15,15 @@ import pytest
 
 from repro.api.cli import main as repro_main
 from repro.service.server import serve_session
-from repro.service.session import SimulationSession
-from tests.service.conftest import canonical
+from repro.service.session import SessionRecorder, SimulationSession
+from tests.service.conftest import PACE, canonical, wait_for_tick
 
 
 @pytest.fixture
 def live_server(tiny_manifest, tmp_path):
-    session = SimulationSession(tiny_manifest, tmp_path / "session", chunk_ticks=30)
+    session = SimulationSession(
+        tiny_manifest, tmp_path / "session", chunk_ticks=30, pace_seconds_per_tick=PACE
+    )
     server = serve_session(session)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -47,16 +49,9 @@ def _post(server, path, payload=None, timeout=30):
         return json.loads(response.read())
 
 
-def _wait_for_tick(session, tick, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while session.fleet_status()["tick"] < tick:
-        assert time.monotonic() < deadline, f"fleet never reached tick {tick}"
-        time.sleep(0.01)
-
-
 def test_status_endpoints(live_server):
     server, session = live_server
-    _wait_for_tick(session, 60)
+    wait_for_tick(session, 60)
     fleet = _get(server, "/fleet")
     assert fleet["num_nodes"] == 3
     assert fleet["tick"] >= 60
@@ -97,28 +92,60 @@ def test_unknown_routes_are_404(live_server):
 
 def test_mutations_and_pause_over_http(live_server):
     server, session = live_server
-    _wait_for_tick(session, 60)
+    wait_for_tick(session, 60)
+    # Pause first, so the commands land at one known boundary instead of
+    # wherever the stepper has got to.
+    paused = _post(server, "/pause")
+    assert paused["paused"] is True
+    frozen = paused["tick"]
+    assert frozen < session.horizon_ticks
     spike = _post(server, "/mutations", {"kind": "load", "total_ebs": 150})
-    assert spike["kind"] == "load" and spike["seq"] == 0
+    assert spike["kind"] == "load" and spike["seq"] == 0 and spike["tick"] == frozen
     kill = _post(server, "/mutations", {"kind": "kill", "node": 2, "reason": "drill"})
-    assert kill["tick"] >= spike["tick"]
+    assert kill["tick"] == frozen
     assert _get(server, "/nodes/2")["live"] is False
     assert [c["seq"] for c in _get(server, "/commands")] == [0, 1]
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(server, "/mutations", {"kind": "load", "total_ebs": 0})
     assert excinfo.value.code == 400
     assert "error" in json.loads(excinfo.value.read())
-    paused = _post(server, "/pause")
-    assert paused["paused"] is True
-    frozen = _get(server, "/fleet")["tick"]
     time.sleep(0.2)
     assert _get(server, "/fleet")["tick"] == frozen
     assert _post(server, "/resume")["paused"] is False
+    wait_for_tick(session, frozen + 1)
+
+
+def test_mutations_past_the_horizon_are_409_and_unrecorded(tiny_manifest, tmp_path):
+    session = SimulationSession(tiny_manifest, tmp_path / "session", chunk_ticks=300)
+    server = serve_session(session)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    session.start()
+    try:
+        assert session.wait_until_done(timeout=120.0)
+        assert _get(server, "/fleet")["tick"] == session.horizon_ticks
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, "/mutations", {"kind": "load", "total_ebs": 150})
+        assert excinfo.value.code == 409
+        assert "horizon" in json.loads(excinfo.value.read())["error"]
+        # A malformed command is still a 400, whatever the tick.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, "/mutations", {"kind": "load", "total_ebs": 0})
+        assert excinfo.value.code == 400
+        assert _get(server, "/commands") == []
+        assert _get(server, "/fleet")["mutations"] == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+        session.finish()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert SessionRecorder.read_commands(tmp_path / "session") == []
 
 
 def test_telemetry_stream_emits_sim_events(live_server):
     server, session = live_server
-    _wait_for_tick(session, 30)
+    wait_for_tick(session, 30)
     with urllib.request.urlopen(server.url + "/telemetry/stream", timeout=10) as stream:
         assert stream.headers["Content-Type"] == "text/event-stream"
         deadline = time.monotonic() + 30.0
@@ -134,15 +161,17 @@ def test_telemetry_stream_emits_sim_events(live_server):
 
 def test_shutdown_persists_and_replay_cli_verifies(tiny_manifest, tmp_path, capsys):
     session_dir = tmp_path / "session"
-    session = SimulationSession(tiny_manifest, session_dir, chunk_ticks=30)
+    session = SimulationSession(tiny_manifest, session_dir, chunk_ticks=30, pace_seconds_per_tick=PACE)
     server = serve_session(session)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     session.start()
     try:
-        _wait_for_tick(session, 60)
+        wait_for_tick(session, 60)
+        assert _post(server, "/pause")["tick"] < session.horizon_ticks
         _post(server, "/mutations", {"kind": "load", "total_ebs": 90})
         _post(server, "/mutations", {"kind": "rejuvenate", "node": 0})
+        _post(server, "/resume")
         assert session.wait_until_done(timeout=120.0)
         result = _post(server, "/shutdown")
         assert result["final_tick"] == session.horizon_ticks

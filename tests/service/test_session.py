@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.service.mutations import MutationCommand, MutationError
+from repro.service.mutations import MutationCommand, MutationRefused
 from repro.service.session import (
     SessionRecorder,
     SimulationSession,
@@ -22,24 +22,27 @@ from repro.service.session import (
     replay_session,
     service_scenario,
 )
-from tests.service.conftest import canonical
+from tests.service.conftest import PACE, canonical, wait_for_tick
 
 
 def _drive_live_session(manifest, directory, chunk_ticks=30):
-    """Run one live AFAP session, injecting mutations from the foreground
-    thread while the stepper runs -- the wall-clock interleaving decides the
-    stamps.  Returns the finish() payload."""
-    session = SimulationSession(manifest, directory, chunk_ticks=chunk_ticks)
+    """Run one live paced session, pausing it from the foreground thread to
+    inject mutations -- the wall-clock interleaving decides the boundary
+    each pause lands on, and so the stamps.  Returns the finish() payload."""
+    session = SimulationSession(
+        manifest, directory, chunk_ticks=chunk_ticks, pace_seconds_per_tick=PACE
+    )
     session.start()
-    deadline = time.monotonic() + 60.0
-    # Wait until the fleet has actually advanced, then mutate concurrently.
-    while session.fleet_status()["tick"] < 300 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    # Wait until the fleet has actually advanced, then pause and mutate.
+    wait_for_tick(session, 300)
+    session.pause()
     session.submit_mutation({"kind": "load", "total_ebs": 180})
     session.submit_mutation({"kind": "kill", "node": 1, "reason": "drill"})
-    while session.fleet_status()["tick"] < 1200 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    session.resume()
+    wait_for_tick(session, 1200)
+    session.pause()
     session.submit_mutation({"kind": "leak_rate", "node": 0, "memory_n": 40})
+    session.resume()
     assert session.wait_until_done(timeout=120.0)
     return session.finish()
 
@@ -76,31 +79,32 @@ def test_finish_is_idempotent_and_blocks_mutations(tiny_manifest, tmp_path):
     session.start()
     first = session.finish()
     assert canonical(session.finish()) == canonical(first)
-    with pytest.raises(MutationError):
+    with pytest.raises(MutationRefused):
         session.submit_mutation({"kind": "load", "total_ebs": 50})
 
 
 def test_pause_freezes_simulation_time(fast_manifest, tmp_path):
-    session = SimulationSession(fast_manifest, tmp_path / "s", chunk_ticks=10)
+    session = SimulationSession(
+        fast_manifest, tmp_path / "s", chunk_ticks=10, pace_seconds_per_tick=PACE
+    )
     session.start()
-    deadline = time.monotonic() + 30.0
-    while session.fleet_status()["tick"] < 50 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    wait_for_tick(session, 50)
     session.pause()
     frozen = session.fleet_status()["tick"]
+    assert frozen < session.horizon_ticks
     time.sleep(0.2)
     assert session.fleet_status()["tick"] == frozen
     session.resume()
-    while session.fleet_status()["tick"] <= frozen and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert session.fleet_status()["tick"] > frozen
+    wait_for_tick(session, frozen + 1)
     session.finish()
 
 
 def test_concurrent_submitters_serialize_at_boundaries(fast_manifest, tmp_path):
     """Racing mutation submitters never tear the log: every command lands at
     a boundary with a unique sequence number, and replay still matches."""
-    session = SimulationSession(fast_manifest, tmp_path / "s", chunk_ticks=20)
+    session = SimulationSession(
+        fast_manifest, tmp_path / "s", chunk_ticks=20, pace_seconds_per_tick=PACE
+    )
     session.start()
     errors: list[Exception] = []
 
