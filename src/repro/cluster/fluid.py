@@ -14,12 +14,13 @@ loop with per-tick numpy array operations over the entire fleet:
   weights change (round-robin and least-connections collapse to the even
   split they converge to; aging-aware uses the frozen per-mark weights),
 * crash and rejuvenation lifecycle are int8 state-mask updates, and
-* the M5P feature pipeline runs through the vectorized
-  :class:`~repro.testbed.fluid.FluidFeatureBank` plus one batch
-  ``AgingPredictor.predict_matrix`` call per mark, which routes the due
-  nodes' rows down the M5P tree as index arrays and sums each node's linear
-  model column by column -- bit-for-bit the forecast each row would get on
-  its own, so batching is exact, not part of the approximation.
+* the M5P feature pipeline is one :class:`~repro.core.features.FeatureBank`
+  stream per node, built from the predictor's own catalogue (so its window
+  too), plus one batch ``AgingPredictor.predict_matrix`` call per mark,
+  which routes the due nodes' rows down the M5P tree as index arrays and
+  sums each node's linear model column by column.  A node's rows and
+  forecasts are bit-for-bit the ones a lone node with the same marks would
+  get, so batching is exact, not part of the approximation.
 
 Accuracy contract: aggregate, not bit-for-bit -- the validation harness
 (``tests/cluster/test_fluid_validation.py``) pins availability, crash counts
@@ -57,9 +58,10 @@ from repro.cluster.routing import (
     RoutingPolicy,
 )
 from repro.cluster.status import ClusterOutcome, FleetStatus, NodeOutcome
+from repro.core.features import RAW_VARIABLES, FeatureBank
 from repro.core.predictor import AgingPredictor
 from repro.testbed.config import TestbedConfig
-from repro.testbed.fluid import FluidFeatureBank, FluidFleet, leak_rates_from_injectors, mix_stats
+from repro.testbed.fluid import FluidFleet, leak_rates_from_injectors, mix_stats
 from repro.testbed.timeline import first_tick_at_or_after
 from repro.testbed.tpcw.workload import WorkloadMix
 from repro.telemetry import runtime as telemetry_runtime
@@ -264,7 +266,7 @@ class FluidClusterEngine:
         self._uses_marks = (
             self.predictor is not None or self._aging_routing is not None or self._rolling is not None
         )
-        self._bank = FluidFeatureBank(n) if self.predictor is not None else None
+        self._bank = FeatureBank(self.predictor.catalog, n) if self.predictor is not None else None
 
         # Lifecycle masks and per-node accounting.
         self._state = np.zeros(n, dtype=np.int8)
@@ -435,7 +437,11 @@ class FluidClusterEngine:
                 raw = self.fleet.sample_fields(marking, self._mark_ticks * tick, allocation)
                 if bank is not None and self.predictor is not None:
                     due_idx = ids[marking]
-                    rows = bank.push(due_idx, tick_index * tick, raw)
+                    rows = bank.push(
+                        due_idx,
+                        tick_index * tick,
+                        np.column_stack([raw[name][due_idx] for name in RAW_VARIABLES]),
+                    )
                     forecasts = self.predictor.predict_matrix(rows)
                     predicted[due_idx] = forecasts
                     raised = forecasts <= self.alarm_threshold_seconds

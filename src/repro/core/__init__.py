@@ -10,7 +10,7 @@ feature selection (Experiment 4.3), root-cause analysis from the learned tree
 sketched as future work.
 """
 
-from repro.core.dataset import AgingDataset, build_dataset, build_feature_frame
+from repro.core.dataset import AgingDataset, build_dataset
 from repro.core.ensemble import PredictionBoard
 from repro.core.evaluation import PredictionEvaluation, evaluate_predictions, format_duration
 from repro.core.feature_selection import (
@@ -19,13 +19,7 @@ from repro.core.feature_selection import (
     select_by_group,
     select_heap_variables,
 )
-from repro.core.features import (
-    DEFAULT_WINDOW,
-    FeatureCatalog,
-    consumption_speed,
-    safe_inverse,
-    sliding_window_average,
-)
+from repro.core.features import DEFAULT_WINDOW, FeatureBank, FeatureCatalog
 from repro.core.online import OnlineAgingMonitor, OnlinePrediction
 from repro.core.predictor import AgingPredictor
 from repro.core.root_cause import RootCauseReport, analyse_root_cause
@@ -34,6 +28,7 @@ __all__ = [
     "AgingDataset",
     "AgingPredictor",
     "DEFAULT_WINDOW",
+    "FeatureBank",
     "FeatureCatalog",
     "OnlineAgingMonitor",
     "OnlinePrediction",
@@ -43,13 +38,9 @@ __all__ = [
     "VARIABLE_GROUPS",
     "analyse_root_cause",
     "build_dataset",
-    "build_feature_frame",
-    "consumption_speed",
     "correlation_ranking",
     "evaluate_predictions",
     "format_duration",
-    "safe_inverse",
     "select_by_group",
     "select_heap_variables",
-    "sliding_window_average",
 ]

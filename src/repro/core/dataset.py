@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.features import DEFAULT_WINDOW, FeatureCatalog
 from repro.testbed.monitoring.collector import Trace
 
-__all__ = ["AgingDataset", "build_dataset", "build_feature_frame", "INFINITE_TTF_SECONDS"]
+__all__ = ["AgingDataset", "build_dataset", "INFINITE_TTF_SECONDS"]
 
 #: The paper's "infinite" time-to-failure label (3 hours) for healthy runs.
 INFINITE_TTF_SECONDS = 10_800.0
@@ -114,20 +114,6 @@ class AgingDataset:
             times=np.concatenate([dataset.times for dataset in datasets]),
             trace_ids=np.concatenate(trace_ids),
         )
-
-
-def build_feature_frame(
-    trace: Trace,
-    window: int = DEFAULT_WINDOW,
-    catalog: FeatureCatalog | None = None,
-) -> tuple[np.ndarray, list[str]]:
-    """Compute the Table 2 feature matrix of one trace.
-
-    Thin wrapper over :class:`FeatureCatalog` so callers that only need the
-    matrix do not have to instantiate the catalogue themselves.
-    """
-    active_catalog = catalog if catalog is not None else FeatureCatalog(window=window)
-    return active_catalog.compute(trace)
 
 
 def _label_trace(trace: Trace, infinite_ttf: float) -> np.ndarray:

@@ -9,17 +9,23 @@ Table 2 then lists the whole derived-variable family: SWA variations
 (speeds), speeds normalised by throughput, inverses of speeds, resource
 values divided by their speed, and SWAs of selected raw metrics.
 
-``FeatureCatalog`` reproduces that family.  Every feature carries a set of
+``FeatureCatalog`` names that family.  Every feature carries a set of
 *tags* (``heap``, ``memory``, ``threads``, ``workload``, ``system``) so the
 expert feature selection of Experiment 4.3 -- "re-train the model only with
 the variables related with the Java Heap evolution" -- is a one-liner.
+
+``FeatureBank`` computes it, and is the only code that does.  It keeps
+O(window) state for each of N monitoring streams and emits the rows of the
+streams that mark, vectorised across the streams and across all nine
+smoothed series.  A trace is one stream pushed mark by mark
+(:meth:`FeatureCatalog.compute`), the on-line monitor holds a one-stream
+bank, and the fluid cluster engine holds one stream per node.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -27,12 +33,10 @@ from repro.testbed.monitoring.collector import MonitoringSample, Trace
 
 __all__ = [
     "DEFAULT_WINDOW",
+    "RAW_VARIABLES",
+    "FeatureBank",
     "FeatureCatalog",
-    "FeatureSpec",
-    "FeatureStream",
-    "sliding_window_average",
-    "consumption_speed",
-    "safe_inverse",
+    "raw_matrix",
 ]
 
 #: Default sliding-window length in monitoring marks.  The paper mentions a
@@ -40,95 +44,10 @@ __all__ = [
 #: Experiment 4.2 (12 marks x 15 seconds = 180 seconds).
 DEFAULT_WINDOW = 12
 
-#: Guard used by :func:`safe_inverse` against division by (near) zero.
+#: Floor of the divisors: speeds nearer zero than this invert to
+#: ``+-1/epsilon`` (zero counts as positive), and throughput below it
+#: divides as ``epsilon``.
 _EPSILON = 1e-6
-
-
-def sliding_window_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Causal moving average over the last ``window`` observations.
-
-    The i-th output averages ``values[max(0, i - window + 1) .. i]``; early
-    samples average whatever history exists, so the output has the same
-    length as the input and uses no future information.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    series = np.asarray(values, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    if series.size == 0:
-        return np.zeros(0)
-    cumulative = np.cumsum(series)
-    output = np.empty_like(series)
-    for index in range(series.shape[0]):
-        start = max(0, index - window + 1)
-        total = cumulative[index] - (cumulative[start - 1] if start > 0 else 0.0)
-        output[index] = total / (index - start + 1)
-    return output
-
-
-def consumption_speed(times: Sequence[float], values: Sequence[float], window: int) -> np.ndarray:
-    """Sliding-window-averaged consumption speed (units per second).
-
-    The instantaneous speed at mark *i* is the difference with the previous
-    mark divided by the elapsed time; the first mark has speed zero.  The
-    instantaneous series is then smoothed with the sliding window average,
-    exactly the smoothing role the paper assigns to the window.
-    """
-    times_arr = np.asarray(times, dtype=float)
-    values_arr = np.asarray(values, dtype=float)
-    if times_arr.shape != values_arr.shape:
-        raise ValueError("times and values must have the same length")
-    if times_arr.size == 0:
-        return np.zeros(0)
-    instantaneous = np.zeros_like(values_arr)
-    if times_arr.size > 1:
-        deltas = np.diff(times_arr)
-        if np.any(deltas <= 0):
-            raise ValueError("times must be strictly increasing")
-        instantaneous[1:] = np.diff(values_arr) / deltas
-    return sliding_window_average(instantaneous, window)
-
-
-def safe_inverse(values: Sequence[float]) -> np.ndarray:
-    """Element-wise ``1/x`` with near-zero values clamped to ``1/epsilon``.
-
-    Table 2 uses ``1/SWA`` variables; when a resource is not being consumed
-    the speed is zero and the plain inverse would be infinite.  Clamping to a
-    large finite value preserves the "nothing is happening" signal without
-    producing non-finite features.
-    """
-    series = np.asarray(values, dtype=float)
-    clipped = np.where(np.abs(series) < _EPSILON, np.sign(series) * _EPSILON + (series == 0) * _EPSILON, series)
-    return 1.0 / clipped
-
-
-def _safe_inverse_scalar(value: float) -> float:
-    """Scalar twin of :func:`safe_inverse` (bit-identical per element)."""
-    if abs(value) < _EPSILON:
-        value = _EPSILON if value >= 0 else -_EPSILON
-    return 1.0 / value
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """One derived (or raw) variable of the model input.
-
-    Attributes
-    ----------
-    name:
-        Unique feature name used in model descriptions and selection.
-    tags:
-        Resource tags used for expert feature selection.
-    compute:
-        Function mapping the raw-series dictionary (plus times) to the
-        feature series.
-    """
-
-    name: str
-    tags: frozenset[str]
-    compute: Callable[[dict[str, np.ndarray], np.ndarray], np.ndarray]
-
 
 #: Raw metric attribute -> resource tags.
 _RAW_TAGS: dict[str, frozenset[str]] = {
@@ -171,9 +90,48 @@ _SWA_RAW_RESOURCES: tuple[str, ...] = (
     "tomcat_memory_used_mb",
 )
 
+#: The raw variables in row order: the ``[streams, 18]`` input of a bank push.
+RAW_VARIABLES: tuple[str, ...] = tuple(_RAW_TAGS)
+
+#: The six derived forms of every speed resource, in row order.  The
+#: ``*_per_throughput`` forms are divided by ``max(throughput, epsilon)``.
+_SPEED_FORMS = (
+    "swa_speed",
+    "inv_swa_speed",
+    "swa_speed_per_throughput",
+    "inv_swa_speed_per_throughput",
+    "used_per_swa_speed",
+    "used_per_swa_speed_per_throughput",
+)
+
+#: Every catalogue feature, in row order, with its resource tags: the raw
+#: variables, six forms per speed resource, then the SWAs of raw metrics.
+_FEATURES: list[tuple[str, frozenset[str]]] = (
+    list(_RAW_TAGS.items())
+    + [
+        (f"{form}[{attribute}]", tags | {"workload"} if form.endswith("_per_throughput") else tags)
+        for attribute, tags in _SPEED_RESOURCES.items()
+        for form in _SPEED_FORMS
+    ]
+    + [(f"swa[{attribute}]", _RAW_TAGS[attribute]) for attribute in _SWA_RAW_RESOURCES]
+)
+
+#: Raw-row columns feeding the bank: the speed resources, the SWA'd metrics
+#: and the throughput divisor.
+_SPEED_COLUMNS = np.array([RAW_VARIABLES.index(attribute) for attribute in _SPEED_RESOURCES])
+_SWA_COLUMNS = np.array([RAW_VARIABLES.index(attribute) for attribute in _SWA_RAW_RESOURCES])
+_THROUGHPUT_COLUMN = RAW_VARIABLES.index("throughput_rps")
+
+_raw_values = attrgetter(*RAW_VARIABLES)
+
+
+def raw_matrix(samples: Sequence[MonitoringSample]) -> np.ndarray:
+    """The ``[len(samples), 18]`` raw variables of monitoring samples, in row order."""
+    return np.array([_raw_values(sample) for sample in samples], dtype=float)
+
 
 class FeatureCatalog:
-    """Builds the full Table 2 variable set from a testbed trace.
+    """The Table 2 variable set: names, tags and the column subset in use.
 
     Parameters
     ----------
@@ -192,207 +150,123 @@ class FeatureCatalog:
         self.window = window
         self.include_raw = include_raw
         self.include_derived = include_derived
-        self._specs = self._build_specs()
-
-    # --------------------------------------------------------------- catalogue
-
-    def _build_specs(self) -> list[FeatureSpec]:
-        specs: list[FeatureSpec] = []
-        if self.include_raw:
-            for attribute, tags in _RAW_TAGS.items():
-                specs.append(
-                    FeatureSpec(
-                        name=attribute,
-                        tags=tags,
-                        compute=lambda raw, times, attribute=attribute: raw[attribute],
-                    )
-                )
-        if not self.include_derived:
-            return specs
-        window = self.window
-
-        def speed_of(attribute: str) -> Callable[[dict[str, np.ndarray], np.ndarray], np.ndarray]:
-            return lambda raw, times: consumption_speed(times, raw[attribute], window)
-
-        for attribute, tags in _SPEED_RESOURCES.items():
-            speed = speed_of(attribute)
-            specs.append(FeatureSpec(f"swa_speed[{attribute}]", tags, speed))
-            specs.append(
-                FeatureSpec(
-                    f"inv_swa_speed[{attribute}]",
-                    tags,
-                    lambda raw, times, speed=speed: safe_inverse(speed(raw, times)),
-                )
-            )
-            specs.append(
-                FeatureSpec(
-                    f"swa_speed_per_throughput[{attribute}]",
-                    tags | frozenset({"workload"}),
-                    lambda raw, times, speed=speed: speed(raw, times) / np.maximum(raw["throughput_rps"], _EPSILON),
-                )
-            )
-            specs.append(
-                FeatureSpec(
-                    f"inv_swa_speed_per_throughput[{attribute}]",
-                    tags | frozenset({"workload"}),
-                    lambda raw, times, speed=speed: safe_inverse(speed(raw, times))
-                    / np.maximum(raw["throughput_rps"], _EPSILON),
-                )
-            )
-            specs.append(
-                FeatureSpec(
-                    f"used_per_swa_speed[{attribute}]",
-                    tags,
-                    lambda raw, times, speed=speed, attribute=attribute: raw[attribute]
-                    * safe_inverse(speed(raw, times)),
-                )
-            )
-            specs.append(
-                FeatureSpec(
-                    f"used_per_swa_speed_per_throughput[{attribute}]",
-                    tags | frozenset({"workload"}),
-                    lambda raw, times, speed=speed, attribute=attribute: raw[attribute]
-                    * safe_inverse(speed(raw, times))
-                    / np.maximum(raw["throughput_rps"], _EPSILON),
-                )
-            )
-        for attribute in _SWA_RAW_RESOURCES:
-            specs.append(
-                FeatureSpec(
-                    f"swa[{attribute}]",
-                    _RAW_TAGS[attribute],
-                    lambda raw, times, attribute=attribute: sliding_window_average(raw[attribute], self.window),
-                )
-            )
-        return specs
-
-    # --------------------------------------------------------------- interface
+        # The catalogue's features are this contiguous run of a full row.
+        raw_end = len(_RAW_TAGS)
+        self.columns = slice(0 if include_raw else raw_end, len(_FEATURES) if include_derived else raw_end)
+        self._tags = dict(_FEATURES[self.columns])
 
     @property
     def feature_names(self) -> list[str]:
-        return [spec.name for spec in self._specs]
+        return list(self._tags)
 
     @property
     def feature_tags(self) -> dict[str, frozenset[str]]:
-        return {spec.name: spec.tags for spec in self._specs}
+        return dict(self._tags)
 
     def __len__(self) -> int:
-        return len(self._specs)
+        return len(self._tags)
 
     def compute(self, trace: Trace) -> tuple[np.ndarray, list[str]]:
         """Compute the feature matrix of a trace.
 
-        Returns ``(matrix, names)`` where the matrix has one row per
-        monitoring sample and one column per catalogue feature.  Raises
-        ``ValueError`` for empty traces.
+        Pushes the trace mark by mark through a one-stream
+        :class:`FeatureBank`.  Returns ``(matrix, names)`` where the matrix
+        has one row per monitoring sample and one column per catalogue
+        feature.  Raises ``ValueError`` for empty traces, times that do not
+        strictly increase, and non-finite rows.
         """
         if len(trace) == 0:
             raise ValueError("cannot compute features of an empty trace")
-        times = trace.times()
-        raw = {attribute: trace.series(attribute) for attribute in _RAW_TAGS}
-        columns = [spec.compute(raw, times) for spec in self._specs]
-        matrix = np.column_stack(columns)
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("feature computation produced non-finite values")
-        return matrix, self.feature_names
-
-    def stream(self) -> "FeatureStream":
-        """Open an incremental computer of this catalogue's feature rows."""
-        return FeatureStream(self)
+        bank = FeatureBank(self)
+        stream = np.zeros(1, dtype=np.intp)
+        raw = raw_matrix(trace.samples)
+        rows = [bank.push(stream, time, raw[mark : mark + 1]) for mark, time in enumerate(trace.times())]
+        return np.concatenate(rows), self.feature_names
 
 
-class FeatureStream:
-    """Incremental, O(window) computation of the newest feature row.
+class FeatureBank:
+    """Catalogue rows of N monitoring streams from O(window) state each.
 
-    :meth:`FeatureCatalog.compute` is a batch transform: every call rebuilds
-    the whole matrix from the whole trace, which turns a streaming consumer
-    (one prediction per monitoring mark) into an O(n^2) loop.  ``FeatureStream``
-    maintains just enough state -- running cumulative sums of each smoothed
-    series plus a ``window + 1`` deque of their historical values -- to emit,
-    per pushed sample, a row that is **bit-for-bit identical** to the last row
-    ``compute()`` would produce on the full history.
+    Every stream keeps the running sum of each of its nine smoothed series
+    (five instantaneous speeds, four raw metrics) and a ``window + 1`` ring
+    of those sums, so a push costs the same however long the stream has
+    run.  A sliding-window average is the difference of two sums over the
+    marks it covers -- exactly the cumulative-sum arithmetic of the batch
+    transform, so a stream's rows are bit-for-bit the rows its whole
+    history would give.  Tree models route on ulp-level splits, and the
+    engines' golden digests assume that equality.
 
-    Bit-exactness is load-bearing (tree models route on ulp-level splits), so
-    every operation mirrors the batch path operation-for-operation:
-    ``np.cumsum`` accumulates sequentially in float64, and so do the running
-    sums here; window totals subtract the same cumulative values the batch
-    loop reads; the scalar inverse replicates :func:`safe_inverse` branch by
-    branch.
+    Streams restart independently (a node rejuvenates), so all state is per
+    stream and :meth:`reset` rewinds only the streams it is given.
     """
 
-    def __init__(self, catalog: FeatureCatalog) -> None:
+    def __init__(self, catalog: FeatureCatalog, num_streams: int = 1) -> None:
         self.catalog = catalog
-        window = catalog.window
-        self._index = -1
-        self._last_time = 0.0
-        self._prev_values: dict[str, float] = {}
-        # Sliding-window-average state per smoothed series: the running
-        # cumulative sum (float64, sequential adds like np.cumsum) and the
-        # last window+1 cumulative values (cum[i-window] is the subtrahend).
-        self._speed_cum: dict[str, float] = {attr: 0.0 for attr in _SPEED_RESOURCES}
-        self._speed_hist: dict[str, deque[float]] = {
-            attr: deque(maxlen=window + 1) for attr in _SPEED_RESOURCES
-        }
-        self._swa_cum: dict[str, float] = {attr: 0.0 for attr in _SWA_RAW_RESOURCES}
-        self._swa_hist: dict[str, deque[float]] = {
-            attr: deque(maxlen=window + 1) for attr in _SWA_RAW_RESOURCES
-        }
+        self.window = catalog.window
+        smoothed = len(_SPEED_COLUMNS) + len(_SWA_COLUMNS)
+        self._count = np.zeros(num_streams, dtype=np.int64)
+        # A fresh stream's last mark is at -inf: its first mark passes the
+        # time check and gets speed (value - 0) / inf = 0, as in Table 2.
+        self._last_time = np.full(num_streams, -np.inf)
+        self._previous = np.zeros((num_streams, len(_SPEED_COLUMNS)))
+        self._sums = np.zeros((num_streams, smoothed))
+        # Slot ``m % (window + 1)`` holds the sums after mark m; slots a
+        # stream has not written since its (re)start hold zeros.
+        self._ring = np.zeros((num_streams, self.window + 1, smoothed))
 
-    @property
-    def num_pushed(self) -> int:
-        return self._index + 1
+    def marks_pushed(self, stream: int) -> int:
+        """Marks the stream has pushed since it (re)started."""
+        return int(self._count[stream])
 
-    def _swa_push(self, cum: float, hist: deque[float], window: int) -> float:
-        """One sliding_window_average step; returns the average at this index."""
-        hist.append(cum)
-        index = self._index
-        if index >= window:
-            # start > 0: subtract cum[index - window], denominator is `window`.
-            return (cum - hist[0]) / window
-        return cum / (index + 1)
+    def reset(self, streams: np.ndarray) -> None:
+        """Restart ``streams`` (indices or a boolean mask) with no history."""
+        self._count[streams] = 0
+        self._last_time[streams] = -np.inf
+        self._previous[streams] = 0.0
+        self._sums[streams] = 0.0
+        self._ring[streams] = 0.0
 
-    def push(self, sample: MonitoringSample) -> np.ndarray:
-        """Ingest one monitoring sample; return the catalogue row at its mark."""
-        time_seconds = float(sample.time_seconds)
-        if self._index >= 0 and time_seconds <= self._last_time:
+    def push(self, streams: np.ndarray, time_seconds: float | np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Ingest one mark of each of ``streams``; return their catalogue rows.
+
+        ``streams`` holds distinct stream indices, ``time_seconds`` is the
+        mark time (one for all of them or one per stream) and ``raw`` is the
+        ``[len(streams), 18]`` raw variables in :data:`RAW_VARIABLES` order.
+        Returns a ``[len(streams), len(catalog)]`` matrix.  Raises
+        ``ValueError``, before any state changes, when a stream's time does
+        not increase, and after the push when a row is not finite.
+        """
+        count = self._count[streams]
+        last_time = self._last_time[streams]
+        if (time_seconds <= last_time).any():
             raise ValueError("times must be strictly increasing")
-        self._index += 1
-        window = self.catalog.window
-        raw = {attribute: float(getattr(sample, attribute)) for attribute in _RAW_TAGS}
+        used = raw.take(_SPEED_COLUMNS, axis=1)
+        speeds = (used - self._previous[streams]) / (time_seconds - last_time)[:, None]
+        sums = self._sums[streams] + np.concatenate((speeds, raw.take(_SWA_COLUMNS, axis=1)), axis=1)
+        slots = self.window + 1
+        self._ring[streams, count % slots] = sums
+        # Minus the sums ``window`` marks back (zeros while the window is
+        # filling), over the number of marks covered.
+        marks = count + 1
+        averages = (sums - self._ring[streams, marks % slots]) / np.minimum(marks, self.window)[:, None]
+        self._count[streams] = marks
+        self._last_time[streams] = time_seconds
+        self._previous[streams] = used
+        self._sums[streams] = sums
 
-        row: list[float] = []
-        if self.catalog.include_raw:
-            for attribute in _RAW_TAGS:
-                row.append(raw[attribute])
-        if self.catalog.include_derived:
-            throughput = max(raw["throughput_rps"], _EPSILON)
-            for attribute in _SPEED_RESOURCES:
-                value = raw[attribute]
-                if self._index == 0:
-                    instantaneous = 0.0
-                else:
-                    instantaneous = (value - self._prev_values[attribute]) / (
-                        time_seconds - self._last_time
-                    )
-                cum = self._speed_cum[attribute] + instantaneous
-                self._speed_cum[attribute] = cum
-                speed = self._swa_push(cum, self._speed_hist[attribute], window)
-                inverse = _safe_inverse_scalar(speed)
-                row.append(speed)
-                row.append(inverse)
-                row.append(speed / throughput)
-                row.append(inverse / throughput)
-                row.append(value * inverse)
-                row.append(value * inverse / throughput)
-            for attribute in _SWA_RAW_RESOURCES:
-                cum = self._swa_cum[attribute] + raw[attribute]
-                self._swa_cum[attribute] = cum
-                row.append(self._swa_push(cum, self._swa_hist[attribute], window))
-
-        for attribute in _SPEED_RESOURCES:
-            self._prev_values[attribute] = raw[attribute]
-        self._last_time = time_seconds
-        result = np.array(row, dtype=float)
-        if not np.all(np.isfinite(result)):
+        speed = averages[:, : len(_SPEED_COLUMNS)]
+        clamped = np.where(speed >= 0.0, np.maximum(speed, _EPSILON), np.minimum(speed, -_EPSILON))
+        # The six _SPEED_FORMS of every speed resource: speed, inverse, both
+        # per throughput, used per speed, and that per throughput.
+        forms = np.empty(speed.shape + (len(_SPEED_FORMS),))
+        forms[:, :, 0] = speed
+        forms[:, :, 1] = 1.0 / clamped
+        forms[:, :, 4] = used * forms[:, :, 1]
+        throughput = np.maximum(raw[:, _THROUGHPUT_COLUMN], _EPSILON)[:, None, None]
+        forms[:, :, 2:4] = forms[:, :, 0:2] / throughput
+        forms[:, :, 5:] = forms[:, :, 4:5] / throughput
+        derived = forms.reshape(len(forms), forms.shape[1] * forms.shape[2])
+        rows = np.concatenate((raw, derived, averages[:, len(_SPEED_COLUMNS) :]), axis=1)[:, self.catalog.columns]
+        if not np.isfinite(rows).all():
             raise ValueError("feature computation produced non-finite values")
-        return result
+        return rows

@@ -20,10 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.features import FeatureBank, raw_matrix
 from repro.core.predictor import AgingPredictor
 from repro.testbed.monitoring.collector import MonitoringSample, Trace
 
 __all__ = ["OnlineAgingMonitor", "OnlinePrediction"]
+
+#: The monitor's feature bank holds one stream.
+_STREAM = np.zeros(1, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class OnlineAgingMonitor:
         # are computed incrementally (see observe), so the monitor's memory
         # and per-mark cost stay O(window) however long the stream runs.
         self._recent: deque[MonitoringSample] = deque(maxlen=predictor.window + 1)
-        self._stream = predictor.feature_stream()
+        self._bank = FeatureBank(predictor.catalog)
         self._num_observed = 0
         self._below_threshold_streak = 0
         self._alarm_raised = False
@@ -109,7 +113,7 @@ class OnlineAgingMonitor:
     def reset(self) -> None:
         """Forget all streamed samples and predictions (e.g. after rejuvenation)."""
         self._recent.clear()
-        self._stream = self.predictor.feature_stream()
+        self._bank.reset(_STREAM)
         self._num_observed = 0
         self.predictions.clear()
         self._below_threshold_streak = 0
@@ -129,7 +133,8 @@ class OnlineAgingMonitor:
             raise ValueError("monitoring samples must arrive in strictly increasing time order")
         self._recent.append(sample)
         self._num_observed += 1
-        predicted = self.predictor.predict_row(self._stream.push(sample))
+        row = self._bank.push(_STREAM, sample.time_seconds, raw_matrix([sample]))[0]
+        predicted = self.predictor.predict_row(row)
 
         if predicted <= self.alarm_threshold_seconds:
             self._below_threshold_streak += 1

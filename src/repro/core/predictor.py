@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.dataset import INFINITE_TTF_SECONDS, AgingDataset, build_dataset
 from repro.core.evaluation import PredictionEvaluation, evaluate_predictions
-from repro.core.features import DEFAULT_WINDOW, FeatureCatalog, FeatureStream
+from repro.core.features import DEFAULT_WINDOW, FeatureCatalog
 from repro.ml.linear_regression import LinearRegressionModel
 from repro.ml.m5p import M5PModelTree
 from repro.ml.regression_tree import RegressionTree
@@ -138,20 +138,12 @@ class AgingPredictor:
         matrix, _ = self._catalog.compute(trace)
         return self._forecast(matrix, columns)
 
-    def feature_stream(self) -> "FeatureStream":
-        """Open an incremental computer of this predictor's feature rows.
-
-        Push monitoring samples into the stream and hand each returned row to
-        :meth:`predict_row`; the pair replays :meth:`predict_trace`'s newest
-        prediction bit-for-bit at O(window) per mark instead of O(history).
-        """
-        return self._catalog.stream()
-
     def predict_row(self, row: np.ndarray) -> float:
         """Predict the time to failure of one catalogue-ordered feature row.
 
-        ``row`` must come from :meth:`feature_stream` (full catalogue order);
-        feature selection and clipping are applied exactly as in
+        ``row`` is a full catalogue row, as a one-stream
+        :class:`~repro.core.features.FeatureBank` of :attr:`catalog` emits it
+        per mark; feature selection and clipping are applied exactly as in
         :meth:`predict_trace`, and every model predicts rows independently,
         so the result matches the batch path's last value bit-for-bit.
         """

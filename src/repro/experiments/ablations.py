@@ -153,7 +153,6 @@ def run_smoothing_ablation(
     points = []
     for label, smoothing in (("smoothing on", True), ("smoothing off", False)):
         predictor = AgingPredictor(model="m5p")
-        predictor._catalog = FeatureCatalog()  # identical columns for both variants
         predictor.fit_dataset(dataset)
         predictor.model.smoothing = smoothing
         predictions = predictor.predict_dataset(test_dataset)

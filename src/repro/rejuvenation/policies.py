@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
+from repro.core.features import FeatureBank, raw_matrix
 from repro.core.predictor import AgingPredictor
 from repro.testbed.monitoring.collector import MonitoringSample, Trace
 
@@ -20,6 +23,9 @@ __all__ = [
     "TimeBasedRejuvenationPolicy",
     "PredictiveRejuvenationPolicy",
 ]
+
+#: The predictive policy's feature bank holds one stream.
+_STREAM = np.zeros(1, dtype=np.intp)
 
 
 class RejuvenationPolicy(abc.ABC):
@@ -72,7 +78,10 @@ class PredictiveRejuvenationPolicy(RejuvenationPolicy):
     ----------
     predictor:
         A fitted :class:`AgingPredictor`; its prediction on the history seen
-        so far is the policy's only input.
+        so far is the policy's only input.  The history's marks go through a
+        one-stream feature bank as they arrive, which restarts whenever a new
+        history (the simulator's next epoch) begins, so each mark costs
+        O(window) however long the epoch runs.
     threshold_seconds:
         Rejuvenate once the predicted time to failure is at or below this
         value (enough headroom to drain in-flight sessions).
@@ -92,9 +101,22 @@ class PredictiveRejuvenationPolicy(RejuvenationPolicy):
         self.threshold_seconds = float(threshold_seconds)
         self.consecutive = consecutive
         self._streak = 0
+        self._bank = FeatureBank(predictor.catalog)
+        self._history: Trace | None = None
+        self._row: np.ndarray | None = None
 
     def should_rejuvenate(self, sample: MonitoringSample, history: Trace) -> bool:
-        predicted = float(self.predictor.predict_trace(history)[-1])
+        if not history.samples:
+            raise ValueError("cannot predict from an empty history")
+        # The bank holds the first ``pushed`` marks of the current history;
+        # another (or a shorter) history is a new epoch and starts afresh.
+        pushed = self._bank.marks_pushed(0)
+        if history is not self._history or len(history) < pushed:
+            self._history, pushed = history, 0
+            self._bank.reset(_STREAM)
+        for mark in history.samples[pushed:]:
+            self._row = self._bank.push(_STREAM, mark.time_seconds, raw_matrix([mark]))[0]
+        predicted = self.predictor.predict_row(self._row)
         if predicted <= self.threshold_seconds:
             self._streak += 1
         else:

@@ -28,23 +28,10 @@ from repro.testbed.faults import (
     PeriodicPatternInjector,
     ThreadLeakInjector,
 )
+from repro.testbed.fluid import FluidFleet, FluidLeakRates, FluidMixStats
 from repro.testbed.monitoring import MonitoringSample, Trace
 
-#: Lazily exposed from :mod:`repro.testbed.fluid`, which depends on the
-#: feature catalogue of :mod:`repro.core.features` -- itself a consumer of
-#: this package -- so an eager import here would be circular.
-_FLUID_EXPORTS = ("FluidFeatureBank", "FluidFleet", "FluidLeakRates", "FluidMixStats")
-
-
-def __getattr__(name: str):
-    if name in _FLUID_EXPORTS:
-        from repro.testbed import fluid
-
-        return getattr(fluid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "FluidFeatureBank",
     "FluidFleet",
     "FluidLeakRates",
     "FluidMixStats",

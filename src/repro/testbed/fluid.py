@@ -7,6 +7,10 @@ population becomes a per-node Poisson arrival rate (one vectorized draw per
 tick for the whole fleet) and the OS/JVM settlement -- transient allocation,
 GC promotion, leak accrual, footprint growth, load decay, monitoring marks --
 is replayed as numpy array operations over all nodes simultaneously.
+Monitoring marks leave this module as raw per-node arrays
+(:meth:`FluidFleet.sample_fields`); the fluid cluster engine turns them
+into Table 2 rows with the same ``repro.core.features.FeatureBank`` every
+tier uses, so nothing here depends on the prediction framework.
 
 The tier is *approximate by construction*: randomized injector thresholds are
 replaced by their expected rates, per-request response times by a per-node
@@ -32,13 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.features import (
-    DEFAULT_WINDOW,
-    _EPSILON,
-    _RAW_TAGS,
-    _SPEED_RESOURCES,
-    _SWA_RAW_RESOURCES,
-)
 from repro.testbed.config import TestbedConfig
 from repro.testbed.database.mysql import MySQLServer
 from repro.testbed.faults.injector import FaultInjector
@@ -51,7 +48,6 @@ __all__ = [
     "FluidMixStats",
     "FluidLeakRates",
     "FluidFleet",
-    "FluidFeatureBank",
     "mix_stats",
     "leak_rates_from_injectors",
 ]
@@ -365,8 +361,8 @@ class FluidFleet:
 
         Mirrors ``MetricsCollector.collect`` field by field (throughput and
         response time drain the per-mark accumulators; swap/system memory
-        replay ``OperatingSystem.telemetry``).  Keys follow the feature
-        catalogue's ``_RAW_TAGS`` attribute names.  Returned arrays cover the
+        replay ``OperatingSystem.telemetry``).  Keys are the
+        ``MonitoringSample`` field names.  Returned arrays cover the
         whole fleet, but only the ``due`` nodes' per-mark accumulators are
         drained -- restarted nodes mark on their own offset cadence.
         """
@@ -404,113 +400,3 @@ class FluidFleet:
             "young_used_pct": 100.0 * self.young_used / np.maximum(self.young_capacity, 1e-9),
             "old_used_pct": 100.0 * self.old_used / np.maximum(self.old_max, 1e-9),
         }
-
-
-def _safe_inverse_array(values: np.ndarray) -> np.ndarray:
-    """Vector twin of ``features._safe_inverse_scalar`` (same clamp branch)."""
-    clamped = np.where(np.abs(values) < _EPSILON, np.where(values >= 0.0, _EPSILON, -_EPSILON), values)
-    return 1.0 / clamped
-
-
-class FluidFeatureBank:
-    """Vectorized flat-sliding-window feature rows for a whole fleet.
-
-    ``FeatureStream`` computes one node's Table 2 row per pushed sample with
-    deques; this bank holds the same state -- running cumulative sums plus a
-    ``window + 1`` ring buffer of their history -- as ``[window + 1, series,
-    node]`` arrays, so one :meth:`push` emits the feature rows of every due
-    node at once.  Row layout matches ``FeatureCatalog`` exactly (18 raw
-    variables in ``_RAW_TAGS`` order, six derived values per speed resource,
-    four SWA'd raw metrics), so the rows feed ``AgingPredictor`` untouched.
-
-    Nodes restart at different times, so every piece of window state is
-    per-node and :meth:`reset` rewinds only the masked nodes.
-    """
-
-    _RAW_ORDER = tuple(_RAW_TAGS)
-    _SPEED_ORDER = tuple(_SPEED_RESOURCES)
-    _SWA_ORDER = tuple(_SWA_RAW_RESOURCES)
-
-    def __init__(self, num_nodes: int, window: int = DEFAULT_WINDOW) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.window = window
-        n = num_nodes
-        self.num_nodes = n
-        self._index = np.full(n, -1, dtype=np.int64)
-        self._last_time = np.zeros(n)
-        self._prev = np.zeros((len(self._SPEED_ORDER), n))
-        self._speed_cum = np.zeros((len(self._SPEED_ORDER), n))
-        self._speed_hist = np.zeros((window + 1, len(self._SPEED_ORDER), n))
-        self._swa_cum = np.zeros((len(self._SWA_ORDER), n))
-        self._swa_hist = np.zeros((window + 1, len(self._SWA_ORDER), n))
-
-    @property
-    def num_features(self) -> int:
-        return len(self._RAW_ORDER) + 6 * len(self._SPEED_ORDER) + len(self._SWA_ORDER)
-
-    def reset(self, mask: np.ndarray) -> None:
-        self._index[mask] = -1
-        self._last_time[mask] = 0.0
-        self._prev[:, mask] = 0.0
-        self._speed_cum[:, mask] = 0.0
-        self._speed_hist[:, :, mask] = 0.0
-        self._swa_cum[:, mask] = 0.0
-        self._swa_hist[:, :, mask] = 0.0
-
-    def marks_pushed(self, node_index: int) -> int:
-        return int(self._index[node_index]) + 1
-
-    def _swa(self, cum: np.ndarray, hist: np.ndarray, series: int, due: np.ndarray) -> np.ndarray:
-        """One sliding-window-average step for ``due`` nodes of one series.
-
-        The ring slot written at mark ``i`` is ``i mod (window + 1)``; the
-        oldest retained cumulative value (``cum[i - window]``) then lives at
-        ``(i + 1) mod (window + 1)`` -- the slot the *next* push overwrites.
-        """
-        index = self._index[due]
-        hist[index % (self.window + 1), series, due] = cum
-        oldest = hist[(index + 1) % (self.window + 1), series, due]
-        return np.where(
-            index >= self.window,
-            (cum - oldest) / self.window,
-            cum / (index + 1.0),
-        )
-
-    def push(self, due: np.ndarray, time_seconds: float, raw: dict[str, np.ndarray]) -> np.ndarray:
-        """Ingest one mark for the ``due`` node indices; return their rows.
-
-        ``raw`` maps every ``_RAW_TAGS`` attribute to a full-fleet array;
-        only the ``due`` columns are consumed.  Returns a ``[len(due),
-        num_features]`` matrix in catalogue order.
-        """
-        if due.size == 0:
-            return np.zeros((0, self.num_features))
-        self._index[due] += 1
-        first = self._index[due] == 0
-        elapsed = np.where(first, 1.0, time_seconds - self._last_time[due])
-
-        columns: list[np.ndarray] = [raw[attribute][due] for attribute in self._RAW_ORDER]
-        throughput = np.maximum(raw["throughput_rps"][due], _EPSILON)
-        for series, attribute in enumerate(self._SPEED_ORDER):
-            value = raw[attribute][due]
-            instantaneous = np.where(first, 0.0, (value - self._prev[series, due]) / elapsed)
-            self._speed_cum[series, due] += instantaneous
-            speed = self._swa(self._speed_cum[series, due], self._speed_hist, series, due)
-            inverse = _safe_inverse_array(speed)
-            columns.append(speed)
-            columns.append(inverse)
-            columns.append(speed / throughput)
-            columns.append(inverse / throughput)
-            columns.append(value * inverse)
-            columns.append(value * inverse / throughput)
-            self._prev[series, due] = value
-        for series, attribute in enumerate(self._SWA_ORDER):
-            self._swa_cum[series, due] += raw[attribute][due]
-            columns.append(self._swa(self._swa_cum[series, due], self._swa_hist, series, due))
-
-        self._last_time[due] = time_seconds
-        matrix = np.column_stack(columns)
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("fluid feature computation produced non-finite values")
-        return matrix

@@ -5,8 +5,10 @@ Three layers of guarantees:
 * the closed forms (mix moments, injector leak rates, largest-remainder
   allocation) match the exact components they collapse — the allocation is
   checked against the real ``LoadBalancer`` across randomized weights;
-* the vectorized feature bank reproduces ``FeatureStream`` rows
-  **bit-for-bit**, including after mid-stream node resets (restart cadence);
+* the feature bank at fleet width reproduces the batch transform's rows
+  (``tests/core/oracle.py``) **bit-for-bit** for every node, including
+  after mid-stream node resets (restart cadence), and a fluid fleet computes
+  its rows at its predictor's window;
 * the engine honours the exact tier's operational contract: seeded repeat
   determinism, single-use, loud ``ValueError`` on everything the fluid tier
   has no closed form for.
@@ -18,10 +20,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.balancer import LoadBalancer
-from repro.cluster.coordinator import ClusterRejuvenationCoordinator
+from repro.cluster.coordinator import ClusterRejuvenationCoordinator, RollingPredictiveRejuvenation
 from repro.cluster.fluid import FluidClusterEngine, _largest_remainder
 from repro.cluster.routing import RoundRobinRouting, RoutingPolicy
-from repro.core.features import FeatureCatalog
+from repro.core.features import RAW_VARIABLES, FeatureBank, FeatureCatalog, raw_matrix
+from repro.core.predictor import AgingPredictor
 from repro.experiments.scenarios import ClusterScenario
 from repro.testbed.faults import (
     MemoryLeakInjector,
@@ -29,13 +32,13 @@ from repro.testbed.faults import (
     ThreadLeakInjector,
 )
 from repro.testbed.fluid import (
-    FluidFeatureBank,
     leak_rates_from_injectors,
     mix_stats,
 )
 from repro.testbed.monitoring.collector import MonitoringSample
 from repro.testbed.tpcw.interactions import INTERACTIONS
 from repro.testbed.tpcw.workload import WorkloadMix
+from tests.core import oracle
 
 
 class TestMixStats:
@@ -162,62 +165,102 @@ def _random_sample(rng, time_seconds):
     )
 
 
-def _raw_arrays(samples, node, num_nodes):
-    """Full-fleet raw dict where only ``node``'s column carries the sample."""
-    from repro.core.features import _RAW_TAGS
-
-    raw = {}
-    for attribute in _RAW_TAGS:
-        column = np.zeros(num_nodes)
-        column[node] = float(getattr(samples, attribute))
-        raw[attribute] = column
-    return raw
+def _oracle_rows(marks, window=12):
+    """The batch transform's rows of one node's ``(time, sample)`` marks."""
+    times = [time for time, _ in marks]
+    raw = raw_matrix([sample for _, sample in marks])
+    return oracle.feature_matrix(times, dict(zip(RAW_VARIABLES, raw.T)), window)[0]
 
 
 class TestFeatureBankParity:
-    """The vectorized bank equals ``FeatureStream`` bit for bit."""
+    """The fleet-width bank equals the batch transform of each node, bit for bit."""
 
     def test_rows_match_the_stream_exactly(self):
-        catalog = FeatureCatalog(window=12)
-        stream = catalog.stream()
-        bank = FluidFeatureBank(num_nodes=1, window=12)
-        assert bank.num_features == len(catalog.feature_names)
+        bank = FeatureBank(FeatureCatalog(window=12), num_streams=3)
         rng = random.Random(2010)
-        due = np.array([0])
+        due = np.arange(3)
+        marks = [[] for _ in due]
+        rows = [[] for _ in due]
         for mark in range(40):
-            sample = _random_sample(rng, 15.0 * (mark + 1))
-            expected = stream.push(sample)
-            got = bank.push(due, sample.time_seconds, _raw_arrays(sample, 0, 1))
-            assert got.shape == (1, len(catalog.feature_names))
-            assert np.array_equal(got[0], expected), f"mark {mark} diverged"
+            time = 15.0 * (mark + 1)
+            samples = [_random_sample(rng, time) for _ in due]
+            got = bank.push(due, time, raw_matrix(samples))
+            assert got.shape == (3, len(FeatureCatalog().feature_names))
+            for node in due:
+                marks[node].append((time, samples[node]))
+                rows[node].append(got[node])
+        for node in due:
+            assert np.array(rows[node]).tobytes() == _oracle_rows(marks[node]).tobytes(), f"node {node}"
 
     def test_reset_restarts_a_node_bit_exactly(self):
-        """A reset node's rows equal a fresh stream fed only its new marks."""
-        catalog = FeatureCatalog(window=12)
-        bank = FluidFeatureBank(num_nodes=2, window=12)
+        """A reset node's rows equal the transform of its new marks alone."""
+        bank = FeatureBank(FeatureCatalog(window=12), num_streams=2)
         rng = random.Random(7)
         due = np.array([0, 1])
         for mark in range(18):
             sample = _random_sample(rng, 15.0 * (mark + 1))
-            raw = _raw_arrays(sample, 0, 2)
-            for attribute, column in _raw_arrays(sample, 1, 2).items():
-                raw[attribute] += column
-            bank.push(due, sample.time_seconds, raw)
+            bank.push(due, sample.time_seconds, raw_matrix([sample, sample]))
         bank.reset(np.array([True, False]))
         assert bank.marks_pushed(0) == 0
         assert bank.marks_pushed(1) == 18
 
-        fresh = catalog.stream()
+        marks, rows = [], []
         for mark in range(18, 36):
             sample = _random_sample(rng, 15.0 * (mark + 1))
-            expected = fresh.push(sample)
-            got = bank.push(np.array([0]), sample.time_seconds, _raw_arrays(sample, 0, 2))
-            assert np.array_equal(got[0], expected), f"post-reset mark {mark} diverged"
+            rows.append(bank.push(np.array([0]), sample.time_seconds, raw_matrix([sample]))[0])
+            marks.append((sample.time_seconds, sample))
+        assert np.array(rows).tobytes() == _oracle_rows(marks).tobytes()
 
     def test_empty_due_returns_empty_matrix(self):
-        bank = FluidFeatureBank(num_nodes=3)
-        got = bank.push(np.zeros(0, dtype=np.int64), 15.0, {})
-        assert got.shape == (0, bank.num_features)
+        bank = FeatureBank(FeatureCatalog(), num_streams=3)
+        got = bank.push(np.zeros(0, dtype=np.int64), 15.0, np.zeros((0, len(RAW_VARIABLES))))
+        assert got.shape == (0, len(FeatureCatalog()))
+
+    def test_a_node_whose_time_goes_backwards_is_rejected(self):
+        bank = FeatureBank(FeatureCatalog(), num_streams=4)
+        sample = _random_sample(random.Random(3), 30.0)
+        bank.push(np.array([1, 3]), 30.0, raw_matrix([sample, sample]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bank.push(np.array([0, 3]), 30.0, raw_matrix([sample, sample]))
+        assert bank.marks_pushed(0) == 0 and bank.marks_pushed(3) == 1
+
+
+def test_fluid_fleet_rows_use_the_predictor_window(fast_scenario, training_traces, monkeypatch):
+    """Every row a fluid fleet's bank emits is the batch transform at the predictor's window."""
+    window = 6
+    predictor = AgingPredictor(model="linear", window=window).fit(training_traces)
+    engine = _fluid_engine(
+        fast_scenario,
+        predictor=predictor,
+        coordinator=RollingPredictiveRejuvenation(max_concurrent_restarts=2, min_active_fraction=0.5),
+    )
+    # Per node: the (time, raw, row) marks pushed since its last restart.
+    segments = {node: [[]] for node in range(engine.num_nodes)}
+    push, reset = FeatureBank.push, FeatureBank.reset
+
+    def recording_push(bank, streams, time_seconds, raw):
+        rows = push(bank, streams, time_seconds, raw)
+        for node, values, row in zip(streams, raw, rows):
+            segments[node][-1].append((time_seconds, values.copy(), row.copy()))
+        return rows
+
+    def recording_reset(bank, streams):
+        for node in np.flatnonzero(streams):
+            segments[node].append([])
+        reset(bank, streams)
+
+    monkeypatch.setattr(FeatureBank, "push", recording_push)
+    monkeypatch.setattr(FeatureBank, "reset", recording_reset)
+    outcome = engine.run(3600.0)
+    assert outcome.rejuvenations + outcome.crashes > 0
+
+    for node_segments in segments.values():
+        assert len(node_segments[0]) > 3 * window
+        for segment in filter(None, node_segments):
+            times = [time for time, _, _ in segment]
+            raw = np.array([values for _, values, _ in segment])
+            expected, _ = oracle.feature_matrix(times, dict(zip(RAW_VARIABLES, raw.T)), window)
+            assert np.array([row for _, _, row in segment]).tobytes() == expected.tobytes()
 
 
 class _CustomRouting(RoutingPolicy):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import INFINITE_TTF_SECONDS, AgingDataset, build_dataset, build_feature_frame
+from repro.core.dataset import INFINITE_TTF_SECONDS, AgingDataset, build_dataset
 from repro.core.evaluation import (
     PredictionEvaluation,
     evaluate_predictions,
@@ -50,12 +50,6 @@ class TestBuildDataset:
     def test_rejects_bad_horizon(self, healthy_trace):
         with pytest.raises(ValueError):
             build_dataset([healthy_trace], infinite_ttf=0.0)
-
-    def test_build_feature_frame_matches_catalog(self, training_traces):
-        matrix, names = build_feature_frame(training_traces[0])
-        direct, direct_names = FeatureCatalog().compute(training_traces[0])
-        assert names == direct_names
-        assert np.allclose(matrix, direct)
 
 
 class TestAgingDataset:

@@ -2,18 +2,22 @@
 
 ``OnlineAgingMonitor.observe`` used to rebuild the entire feature matrix
 from the entire history at every mark -- an O(n^2) loop for a streaming
-consumer.  The incremental path (``FeatureStream`` + ``predict_row``) must
-be **bit-for-bit** identical to the batch computation (tree models route on
-ulp-level splits, and the engines' golden digests assume the equivalence)
-while retaining only O(window) state however long the stream runs.
+consumer.  The incremental path (a one-stream ``FeatureBank`` +
+``predict_row``) must be **bit-for-bit** identical to the batch computation
+(tree models route on ulp-level splits, and the engines' golden digests
+assume the equivalence) while retaining only O(window) state however long
+the stream runs.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.features import FeatureCatalog
+from repro.core.features import FeatureBank, FeatureCatalog, raw_matrix
 from repro.core.online import OnlineAgingMonitor
 from repro.core.predictor import AgingPredictor
+from tests.core import oracle
+
+STREAM = np.zeros(1, dtype=np.intp)
 
 
 def streamed_predictions(predictor, trace):
@@ -22,27 +26,28 @@ def streamed_predictions(predictor, trace):
 
 
 class TestFeatureStreamParity:
+    """A one-stream bank fed sample by sample, as the monitor feeds it."""
+
     def test_rows_match_batch_matrix_bitwise(self, test_trace):
-        catalog = FeatureCatalog()
-        matrix, _ = catalog.compute(test_trace)
-        stream = catalog.stream()
+        expected, _ = oracle.trace_matrix(test_trace, window=12)
+        bank = FeatureBank(FeatureCatalog())
         for index, sample in enumerate(test_trace):
-            row = stream.push(sample)
-            assert np.array_equal(row, matrix[index]), f"row {index} diverged"
+            row = bank.push(STREAM, sample.time_seconds, raw_matrix([sample]))[0]
+            assert row.tobytes() == expected[index].tobytes(), f"row {index} diverged"
 
     def test_raw_only_catalog(self, test_trace):
-        catalog = FeatureCatalog(include_derived=False)
-        matrix, _ = catalog.compute(test_trace)
-        stream = catalog.stream()
+        expected, _ = oracle.trace_matrix(test_trace, window=12, include_derived=False)
+        bank = FeatureBank(FeatureCatalog(include_derived=False))
         for index, sample in enumerate(test_trace):
-            assert np.array_equal(stream.push(sample), matrix[index])
+            row = bank.push(STREAM, sample.time_seconds, raw_matrix([sample]))[0]
+            assert row.tobytes() == expected[index].tobytes()
 
     def test_rejects_non_increasing_times(self, test_trace):
-        stream = FeatureCatalog().stream()
+        bank = FeatureBank(FeatureCatalog())
         samples = list(test_trace)
-        stream.push(samples[1])
+        bank.push(STREAM, samples[1].time_seconds, raw_matrix([samples[1]]))
         with pytest.raises(ValueError, match="strictly increasing"):
-            stream.push(samples[0])
+            bank.push(STREAM, samples[0].time_seconds, raw_matrix([samples[0]]))
 
 
 class TestOnlineMonitorParity:

@@ -12,6 +12,7 @@ from repro.rejuvenation.simulator import simulate_policy
 from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
+from repro.testbed.monitoring.collector import Trace
 
 
 def fast_config():
@@ -148,3 +149,45 @@ class TestSimulator:
             simulate_policy(
                 NoRejuvenationPolicy(), trace_factory, horizon_seconds=10.0, rejuvenation_downtime_seconds=0.0
             )
+
+
+class _WholeHistoryPolicy(PredictiveRejuvenationPolicy):
+    """The predictive policy re-predicting the whole epoch at every mark, as it once did."""
+
+    def should_rejuvenate(self, sample, history):
+        predicted = float(self.predictor.predict_trace(history)[-1])
+        self._streak = self._streak + 1 if predicted <= self.threshold_seconds else 0
+        return self._streak >= self.consecutive
+
+
+class TestIncrementalPredictivePolicy:
+    def test_outcome_matches_re_predicting_the_whole_history(self, trace_factory, fitted_predictor):
+        # A late, hesitant policy: some epochs end in a crash, so the streak
+        # carries over into the next epoch, and some in a rejuvenation.
+        outcomes = [
+            simulate_policy(
+                policy(fitted_predictor, threshold_seconds=60.0, consecutive=3),
+                trace_factory,
+                horizon_seconds=4 * 3600.0,
+            )
+            for policy in (PredictiveRejuvenationPolicy, _WholeHistoryPolicy)
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0].crashes > 0 and outcomes[0].rejuvenations > 0
+
+    def test_every_mark_is_predicted_as_from_the_whole_history(self, trace_factory, fitted_predictor):
+        policy = PredictiveRejuvenationPolicy(fitted_predictor, threshold_seconds=1.0)
+        history = Trace()
+        for sample in trace_factory(0):
+            history.samples.append(sample)
+            policy.should_rejuvenate(sample, history)
+            expected = fitted_predictor.predict_trace(history)[-1]
+            assert fitted_predictor.predict_row(policy._row) == expected
+        # A second call on the same history predicts the same mark again.
+        row = policy._row.copy()
+        policy.should_rejuvenate(history.samples[-1], history)
+        assert policy._row.tobytes() == row.tobytes()
+
+    def test_rejects_an_empty_history(self, fitted_predictor):
+        with pytest.raises(ValueError, match="empty history"):
+            PredictiveRejuvenationPolicy(fitted_predictor).should_rejuvenate(None, Trace())
