@@ -7,7 +7,8 @@ Three families:
   threads, two-resource) so the BENCH json distinguishes the runs; node
   count and fleet workload are recorded as ``extra_info``.
 * ``test_cluster_event_engine_speedup`` pits the event-driven engine against
-  the tick-everything per-second reference on a wide paper-scale fleet (the
+  the tick-everything per-second reference of ``tests/cluster/oracle.py``
+  on a wide paper-scale fleet (the
   regime the event scheduler exists for: many 1 GB-heap nodes, marks every
   15 s, light per-node traffic) and asserts the >=5x wall-clock speedup with
   identical seeded outcomes.
@@ -29,12 +30,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.engine import ClusterEngine, PerSecondClusterEngine
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.fluid import FluidClusterEngine
 from repro.cluster.coordinator import RollingPredictiveRejuvenation
 from repro.cluster.routing import AgingAwareRouting
 from repro.experiments.cluster import run_cluster_experiment, train_cluster_predictor
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
+from tests.cluster.oracle import PerSecondClusterEngine
 
 from bench_util import BENCH_SEED, print_comparison
 

@@ -1,10 +1,11 @@
 """Benchmarks of the single-server simulation engines.
 
-``test_engine_training_run_speedup`` pits the event-driven default engine
-against the retained per-second reference on the paper's one-hour 100-EB
-no-injection training run -- the run that dominates ``run_cluster_experiment``
-wall-clock (every scenario kind regenerates several of them) -- and asserts
-the >=3x speedup with bit-for-bit identical traces.
+``test_engine_training_run_speedup`` pits the event-driven engine against
+the per-second reference loop of ``tests/testbed/oracle.py`` on the paper's
+one-hour 100-EB no-injection training run -- the run that dominates
+``run_cluster_experiment`` wall-clock (every scenario kind regenerates
+several of them) -- and asserts the >=3x speedup with bit-for-bit identical
+traces.
 
 ``test_engine_memory_leak_run_speedup`` does the same for a crash-bounded
 memory-leak run (Experiment 4.1's bread and butter): the run ends when the
@@ -23,6 +24,7 @@ import time
 from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
+from tests.testbed.oracle import run_per_second
 
 from bench_util import BENCH_SEED, print_comparison
 
@@ -34,14 +36,14 @@ _PAIRS = 5
 _RUNS_PER_SIDE = 3
 
 
-def _best_of(build, max_seconds, engine):
-    """Best-of-N wall clock of one engine, checking the trace each run."""
+def _best_of(build, max_seconds, run):
+    """Best-of-N wall clock of one run loop, checking the trace each run."""
     best_seconds = None
     trace = None
     for _ in range(_RUNS_PER_SIDE):
         simulation = build()
         started = time.perf_counter()
-        trace = simulation.run(max_seconds=max_seconds, engine=engine)
+        trace = run(simulation, max_seconds)
         elapsed = time.perf_counter() - started
         if best_seconds is None or elapsed < best_seconds:
             best_seconds = elapsed
@@ -54,8 +56,8 @@ def _speedup_pairs(benchmark, build, max_seconds, title, minimum, extra_info):
     reference_times = []
     event_times = []
     for _ in range(_PAIRS):
-        reference_seconds, reference_trace = _best_of(build, max_seconds, "per_second")
-        event_seconds, event_trace = _best_of(build, max_seconds, "event")
+        reference_seconds, reference_trace = _best_of(build, max_seconds, run_per_second)
+        event_seconds, event_trace = _best_of(build, max_seconds, TestbedSimulation.run)
         assert event_trace.samples == reference_trace.samples
         assert event_trace.crash_time_seconds == reference_trace.crash_time_seconds
         reference_times.append(reference_seconds)

@@ -1,27 +1,26 @@
 """Micro-benchmarks of the aging-aware routing hot path on a wide fleet.
 
-Two measurements, same methodology as the engine benchmarks (interleaved
-pairs, best-of-three per side within a pair, median per-pair ratio — so
-machine noise hits both sides of a pair alike):
+Both measurements pit ``AgingAwareRouting`` against the per-request
+reference scan of ``tests/cluster/oracle.py``, which recomputes every
+candidate's forecast-derived health weight and walks a per-node credit dict
+on every request.  Between forecast changes the policy runs on frozen
+weights and a dense credit array instead.  Same methodology as the engine
+benchmarks (interleaved pairs, best-of-three per side within a pair, median
+per-pair ratio — so machine noise hits both sides of a pair alike):
 
-* **Regime cache** — ``AgingAwareRouting.route`` used to recompute every
-  candidate's forecast-derived health weight and walk a per-node credit
-  dict on every request.  Between forecast changes the policy now runs on
-  frozen weights and a dense credit array; this drives a wide fleet with
-  *messy* forecast values (no exact credit cycle exists) through a
-  realistic request/mark cadence and asserts the regime path is measurably
+* **Regime cache** — a wide fleet with *messy* forecast values through a
+  realistic request/mark cadence: the regime path must be measurably
   faster with a bit-for-bit identical decision stream.
-* **Cycle replay** — with dyadic health weights (healthy 1.0 / shedding
-  0.5, the common fleet shape) smooth WRR is exactly periodic; Brent
-  detection finds the period and every further request replays a recorded
-  winner in O(1) instead of scanning the fleet.  Epoch-wired nodes (the
-  fleet-shared ``RoutingEpoch`` counter real cluster nodes carry) make
-  regime revalidation two integer compares.
+* **Dyadic regimes** — healthy 1.0 / shedding 0.5 weights (the common
+  fleet shape) over longer regimes, on epoch-wired nodes (the fleet-shared
+  ``RoutingEpoch`` counter real cluster nodes carry), whose regime
+  revalidation is two integer compares.
 """
 
 import time
 
 from repro.cluster.routing import AgingAwareRouting, RoutingEpoch
+from tests.cluster.oracle import ReferenceAgingAwareRouting
 
 from bench_util import print_comparison
 
@@ -32,7 +31,7 @@ _PAIRS = 5
 _RUNS_PER_SIDE = 3
 _MIN_SPEEDUP = 1.5
 
-_REPLAY_MARK_EVERY = 2_000  # longer regimes: most requests land in the replay
+_REPLAY_MARK_EVERY = 2_000  # longer regimes than the messy stream's
 _MIN_REPLAY_SPEEDUP = 2.5
 
 
@@ -47,9 +46,14 @@ class _Node:
         self.forecast_version = 0
 
 
-def _drive(cache_weights: bool) -> tuple[float, list[int]]:
+def _policy(reference: bool) -> AgingAwareRouting:
+    policy_class = ReferenceAgingAwareRouting if reference else AgingAwareRouting
+    return policy_class(ttf_comfort_seconds=900.0, shed_floor=0.1)
+
+
+def _drive(reference: bool) -> tuple[float, list[int]]:
     """Route the full request stream once; return (seconds, decisions)."""
-    policy = AgingAwareRouting(ttf_comfort_seconds=900.0, shed_floor=0.1, cache_weights=cache_weights)
+    policy = _policy(reference)
     nodes = [_Node(i, 900.0 if i % 3 else 450.0) for i in range(_NUM_NODES)]
     decisions = []
     append = decisions.append
@@ -64,10 +68,10 @@ def _drive(cache_weights: bool) -> tuple[float, list[int]]:
     return time.perf_counter() - started, decisions
 
 
-def _best_of(cache_weights: bool) -> tuple[float, list[int]]:
+def _best_of(reference: bool) -> tuple[float, list[int]]:
     best_seconds, decisions = None, None
     for _ in range(_RUNS_PER_SIDE):
-        elapsed, decisions = _drive(cache_weights)
+        elapsed, decisions = _drive(reference)
         if best_seconds is None or elapsed < best_seconds:
             best_seconds = elapsed
     return best_seconds, decisions
@@ -79,8 +83,8 @@ def test_routing_weight_cache_speedup(benchmark):
     uncached_times = []
     cached_times = []
     for _ in range(_PAIRS):
-        uncached_seconds, uncached_decisions = _best_of(cache_weights=False)
-        cached_seconds, cached_decisions = _best_of(cache_weights=True)
+        uncached_seconds, uncached_decisions = _best_of(reference=True)
+        cached_seconds, cached_decisions = _best_of(reference=False)
         assert cached_decisions == uncached_decisions
         uncached_times.append(uncached_seconds)
         cached_times.append(cached_seconds)
@@ -88,7 +92,7 @@ def test_routing_weight_cache_speedup(benchmark):
 
     # One extra cached round through the benchmark fixture so the BENCH
     # json records the hot path's own timing distribution.
-    benchmark.pedantic(lambda: _drive(cache_weights=True), iterations=1, rounds=1)
+    benchmark.pedantic(lambda: _drive(reference=False), iterations=1, rounds=1)
 
     speedup = sorted(ratios)[len(ratios) // 2]
     benchmark.extra_info["num_nodes"] = _NUM_NODES
@@ -126,12 +130,11 @@ class _EpochNode:
         self.routing_epoch.version += 1
 
 
-def _drive_dyadic(cache_weights: bool) -> tuple[float, list[int]]:
+def _drive_dyadic(reference: bool) -> tuple[float, list[int]]:
     """Route a dyadic-weight request stream once; return (seconds, decisions)."""
-    policy = AgingAwareRouting(ttf_comfort_seconds=900.0, shed_floor=0.1, cache_weights=cache_weights)
+    policy = _policy(reference)
     epoch = RoutingEpoch()
-    # A third of the fleet sheds at weight 0.5: smooth WRR cycles within
-    # 2 * sum(weights) <= 96 requests, well inside the recording cap.
+    # A third of the fleet sheds at weight 0.5.
     nodes = [_EpochNode(i, 900.0 if i % 3 else 450.0, epoch) for i in range(_NUM_NODES)]
     decisions = []
     append = decisions.append
@@ -145,41 +148,41 @@ def _drive_dyadic(cache_weights: bool) -> tuple[float, list[int]]:
     return time.perf_counter() - started, decisions
 
 
-def _best_of_dyadic(cache_weights: bool) -> tuple[float, list[int]]:
+def _best_of_dyadic(reference: bool) -> tuple[float, list[int]]:
     best_seconds, decisions = None, None
     for _ in range(_RUNS_PER_SIDE):
-        elapsed, decisions = _drive_dyadic(cache_weights)
+        elapsed, decisions = _drive_dyadic(reference)
         if best_seconds is None or elapsed < best_seconds:
             best_seconds = elapsed
     return best_seconds, decisions
 
 
-def test_routing_cycle_replay_speedup(benchmark):
-    """Dyadic-weight fleet: cycle replay >=2.5x, identical decisions."""
+def test_routing_dyadic_regime_speedup(benchmark):
+    """Dyadic-weight fleet: regime scan >=2.5x, identical decisions."""
     ratios = []
     reference_times = []
-    replay_times = []
+    regime_times = []
     for _ in range(_PAIRS):
-        reference_seconds, reference_decisions = _best_of_dyadic(cache_weights=False)
-        replay_seconds, replay_decisions = _best_of_dyadic(cache_weights=True)
-        assert replay_decisions == reference_decisions
+        reference_seconds, reference_decisions = _best_of_dyadic(reference=True)
+        regime_seconds, regime_decisions = _best_of_dyadic(reference=False)
+        assert regime_decisions == reference_decisions
         reference_times.append(reference_seconds)
-        replay_times.append(replay_seconds)
-        ratios.append(reference_seconds / replay_seconds)
+        regime_times.append(regime_seconds)
+        ratios.append(reference_seconds / regime_seconds)
 
-    benchmark.pedantic(lambda: _drive_dyadic(cache_weights=True), iterations=1, rounds=1)
+    benchmark.pedantic(lambda: _drive_dyadic(reference=False), iterations=1, rounds=1)
 
     speedup = sorted(ratios)[len(ratios) // 2]
     benchmark.extra_info["num_nodes"] = _NUM_NODES
     benchmark.extra_info["requests"] = _REQUESTS
     benchmark.extra_info["reference_s"] = round(min(reference_times), 3)
-    benchmark.extra_info["replay_s"] = round(min(replay_times), 3)
+    benchmark.extra_info["regime_s"] = round(min(regime_times), 3)
     benchmark.extra_info["speedup_x"] = round(speedup, 2)
     print_comparison(
-        f"Routing: cycle replay on a {_NUM_NODES}-node dyadic fleet, {_REQUESTS} requests",
+        f"Routing: regime scan on a {_NUM_NODES}-node dyadic fleet, {_REQUESTS} requests",
         [
             ("reference route (best pair)", "-", f"{min(reference_times):.3f} s"),
-            ("replay route (best pair)", "-", f"{min(replay_times):.3f} s"),
+            ("regime route (best pair)", "-", f"{min(regime_times):.3f} s"),
             ("speedup (median of pairs)", f">= {_MIN_REPLAY_SPEEDUP:.1f}x", f"{speedup:.2f}x"),
             ("per-pair ratios", "-", ", ".join(f"{r:.2f}x" for r in ratios)),
             ("decision streams identical", "expected", "True"),

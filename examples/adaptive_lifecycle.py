@@ -16,7 +16,7 @@ with Equation (1) pseudo-labels, and promotes the ones that beat the
 incumbent on a held-out slice of the freshest marks.
 
 Everything is seeded, so the drift marks, gate verdicts and error figures
-below reproduce byte-for-byte (and identically on both simulation engines).
+below reproduce byte-for-byte.
 
 Run it with::
 
@@ -35,7 +35,7 @@ def main() -> None:
         "Streaming the morphing run (memory leak, then a thread leak at "
         f"t={scenarios.morph_time_seconds:.0f}s) through a static and a managed monitor..."
     )
-    result = run_lifecycle_experiment(scenarios, engine="event")
+    result = run_lifecycle_experiment(scenarios)
 
     print(f"\n{result.summary()}\n")
     print(

@@ -54,9 +54,10 @@ name                 category    reproduces
 ===================  ==========  ====================================================
 
 Every spec shares the common parameters ``scale`` (``"small"`` /
-``"paper"``), ``seed`` (master seed, bit-for-bit reproducible) and
-``engine`` (``"event"`` / ``"per_second"``); ``figure2`` adds
-``num_cycles`` and ``cluster`` adds ``kind``.  Use
+``"paper"``) and ``seed`` (master seed, bit-for-bit reproducible);
+``figure2`` adds ``num_cycles``, ``lifecycle`` its drift and retraining
+settings, and ``cluster`` adds ``engine`` (the fleet tier: ``"event"`` /
+``"fluid"``) and ``kind``.  Use
 ``api.get_spec(name).describe()`` — or ``repro describe <name>`` — for the
 full parameter schema of any entry.
 
@@ -78,12 +79,11 @@ from repro.api.registry import (
     run,
 )
 from repro.api.result import SCHEMA_VERSION, RunResult, content_key
-from repro.api.spec import ENGINES, SCALES, ExperimentSpec, ParamSpec
+from repro.api.spec import SCALES, ExperimentSpec, ParamSpec
 from repro.api.store import ResultStore, collect_results, summary_json
 from repro.api.sweep import RunPoint, batch_points, expand_sweep, parse_values
 
 __all__ = [
-    "ENGINES",
     "REGISTRY",
     "PointOutcome",
     "ResultStore",

@@ -9,7 +9,9 @@ Eight subcommands, all driven by the declarative specs of
     The full parameter schema of one experiment.
 ``repro run <name> [--scale S] [--seed N] [--engine E] [-p key=value ...]
 [--out PATH] [--timing] [--trace]``
-    Run one experiment and print its summary; ``--out`` additionally writes
+    Run one experiment and print its summary (``--engine`` picks the
+    ``cluster`` spec's fleet tier, ``event`` or ``fluid``; no other spec has
+    an engine choice); ``--out`` additionally writes
     the canonical JSON envelope (``-`` for stdout).  Two invocations with
     the same parameters write byte-identical JSON unless ``--timing`` embeds
     the wall clock.  ``--trace`` runs under a telemetry hub, prints the
@@ -60,7 +62,7 @@ from typing import Any, Sequence
 
 from repro.api.executor import PointOutcome, run_points
 from repro.api.registry import get_spec, list_experiments, match_experiments, run
-from repro.api.spec import CLUSTER_ENGINES, ENGINES, SCALES
+from repro.api.spec import CLUSTER_ENGINES, SCALES
 from repro.api.store import ResultStore, collect_results, summary_json
 from repro.api.sweep import batch_points, expand_sweep
 from repro.service.cli import add_serve_arguments, command_serve
@@ -126,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--engine",
         metavar="EXPR",
-        help=f"engine values, e.g. 'event' (choices: {', '.join(ENGINES)}; "
-        "cluster also accepts 'fluid')",
+        help=f"cluster fleet tier values, e.g. 'event,fluid' (choices: {', '.join(CLUSTER_ENGINES)})",
     )
     sweep.add_argument(
         "-p",
@@ -183,7 +184,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=CLUSTER_ENGINES,
-        help="simulation engine (default: event; 'fluid' is cluster-only)",
+        help="cluster fleet tier (default: event); other experiments have no engine choice",
     )
     parser.add_argument(
         "-p",

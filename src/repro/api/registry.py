@@ -109,9 +109,10 @@ def run(name: str, *, telemetry: Telemetry | None = None, **params: Any) -> RunR
     if telemetry is None:
         metrics, series = spec.runner(**resolved)
     else:
-        # The engine parameter stays out of the trace meta: the meta record
-        # is part of the sim-channel digest, and the digest must agree
-        # between the event-driven and per-second engines.
+        # The cluster spec's engine parameter stays out of the trace meta,
+        # which is part of the sim-channel digest: the fluid tier's events
+        # already mark it, and leaving the parameter out keeps published
+        # cluster digests valid.
         meta_params = {key: value for key, value in resolved.items() if key != "engine"}
         telemetry.meta = {"experiment": spec.name, "params": meta_params}
         with activate(telemetry):
@@ -168,8 +169,8 @@ Payload = tuple[dict[str, Any], dict[str, list[float]]]
 # --------------------------------------------------------------------------
 
 
-def _run_exp41(scale: str, seed: int, engine: str) -> Payload:
-    result = run_experiment_41(_scenarios(scale, seed), engine=engine)
+def _run_exp41(scale: str, seed: int) -> Payload:
+    result = run_experiment_41(_scenarios(scale, seed))
     metrics: dict[str, Any] = {
         "training_instances": result.training_instances,
         "m5p_leaves": result.m5p_leaves,
@@ -185,8 +186,8 @@ def _run_exp41(scale: str, seed: int, engine: str) -> Payload:
     return metrics, series
 
 
-def _run_exp42(scale: str, seed: int, engine: str) -> Payload:
-    result = run_experiment_42(_scenarios(scale, seed), engine=engine)
+def _run_exp42(scale: str, seed: int) -> Payload:
+    result = run_experiment_42(_scenarios(scale, seed))
     metrics: dict[str, Any] = {
         "training_instances": result.training_instances,
         "m5p_leaves": result.m5p_leaves,
@@ -206,8 +207,8 @@ def _run_exp42(scale: str, seed: int, engine: str) -> Payload:
     return metrics, series
 
 
-def _run_exp43(scale: str, seed: int, engine: str) -> Payload:
-    result = run_experiment_43(_scenarios(scale, seed), engine=engine)
+def _run_exp43(scale: str, seed: int) -> Payload:
+    result = run_experiment_43(_scenarios(scale, seed))
     metrics: dict[str, Any] = {
         "selected_m5p_leaves": result.selected_m5p_leaves,
         "selected_m5p_inner_nodes": result.selected_m5p_inner_nodes,
@@ -228,8 +229,8 @@ def _run_exp43(scale: str, seed: int, engine: str) -> Payload:
     return metrics, series
 
 
-def _run_exp44(scale: str, seed: int, engine: str) -> Payload:
-    result = run_experiment_44(_scenarios(scale, seed), engine=engine)
+def _run_exp44(scale: str, seed: int) -> Payload:
+    result = run_experiment_44(_scenarios(scale, seed))
     metrics: dict[str, Any] = {
         "training_instances": result.training_instances,
         "m5p_leaves": result.m5p_leaves,
@@ -259,8 +260,8 @@ def _run_exp44(scale: str, seed: int, engine: str) -> Payload:
 # --------------------------------------------------------------------------
 
 
-def _run_figure1(scale: str, seed: int, engine: str) -> Payload:
-    result = figure1_series(_scenarios(scale, seed), engine=engine)
+def _run_figure1(scale: str, seed: int) -> Payload:
+    result = figure1_series(_scenarios(scale, seed))
     metrics: dict[str, Any] = {
         "crash_time_seconds": result.crash_time_seconds,
         "extra_life_seconds": result.extra_life_seconds(),
@@ -276,8 +277,8 @@ def _run_figure1(scale: str, seed: int, engine: str) -> Payload:
     return metrics, series
 
 
-def _run_figure2(scale: str, seed: int, engine: str, num_cycles: int) -> Payload:
-    result = figure2_series(_scenarios(scale, seed), num_cycles=num_cycles, engine=engine)
+def _run_figure2(scale: str, seed: int, num_cycles: int) -> Payload:
+    result = figure2_series(_scenarios(scale, seed), num_cycles=num_cycles)
     metrics: dict[str, Any] = {
         "os_view_is_flat_after_warmup": bool(result.os_view_is_flat_after_warmup()),
         "jvm_view_oscillates": bool(result.jvm_view_oscillates()),
@@ -307,20 +308,20 @@ def _ablation_payload(points) -> Payload:
     return metrics, {}
 
 
-def _run_ablation_window(scale: str, seed: int, engine: str) -> Payload:
-    return _ablation_payload(run_window_sweep(_scenarios(scale, seed), engine=engine))
+def _run_ablation_window(scale: str, seed: int) -> Payload:
+    return _ablation_payload(run_window_sweep(_scenarios(scale, seed)))
 
 
-def _run_ablation_derived(scale: str, seed: int, engine: str) -> Payload:
-    return _ablation_payload(run_derived_variable_ablation(_scenarios(scale, seed), engine=engine))
+def _run_ablation_derived(scale: str, seed: int) -> Payload:
+    return _ablation_payload(run_derived_variable_ablation(_scenarios(scale, seed)))
 
 
-def _run_ablation_smoothing(scale: str, seed: int, engine: str) -> Payload:
-    return _ablation_payload(run_smoothing_ablation(_scenarios(scale, seed), engine=engine))
+def _run_ablation_smoothing(scale: str, seed: int) -> Payload:
+    return _ablation_payload(run_smoothing_ablation(_scenarios(scale, seed)))
 
 
-def _run_ablation_margin(scale: str, seed: int, engine: str) -> Payload:
-    return _ablation_payload(run_security_margin_sweep(_scenarios(scale, seed), engine=engine))
+def _run_ablation_margin(scale: str, seed: int) -> Payload:
+    return _ablation_payload(run_security_margin_sweep(_scenarios(scale, seed)))
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +332,6 @@ def _run_ablation_margin(scale: str, seed: int, engine: str) -> Payload:
 def _run_lifecycle(
     scale: str,
     seed: int,
-    engine: str,
     model: str,
     challenger_model: str,
     drift_threshold_seconds: float,
@@ -347,9 +347,7 @@ def _run_lifecycle(
         training_window=training_window,
         gate_margin=gate_margin,
     )
-    result = run_lifecycle_experiment(
-        _scenarios(scale, seed), engine=engine, config=config, model=model
-    )
+    result = run_lifecycle_experiment(_scenarios(scale, seed), config=config, model=model)
     metrics: dict[str, Any] = {
         "morph_time_seconds": result.morph_time_seconds,
         "crash_time_seconds": result.trace.crash_time_seconds,
@@ -434,17 +432,10 @@ def _spec(
     extra: tuple[ParamSpec, ...] = (),
     seed: int = 2010,
     seed_description: str | None = None,
-    engine_choices: tuple[str, ...] | None = None,
-    engine_description: str | None = None,
 ) -> ExperimentSpec:
     params = common_params(seed)
     if seed_description is not None:
-        params = (params[0], replace(params[1], description=seed_description)) + params[2:]
-    if engine_choices is not None:
-        engine = replace(params[2], choices=engine_choices)
-        if engine_description is not None:
-            engine = replace(engine, description=engine_description)
-        params = params[:2] + (engine,) + params[3:]
+        params = (params[0], replace(params[1], description=seed_description))
     return register(
         ExperimentSpec(
             name=name,
@@ -590,6 +581,16 @@ _spec(
     _run_cluster,
     extra=(
         ParamSpec(
+            name="engine",
+            type="str",
+            default="event",
+            description=(
+                "fleet settlement tier: exact event-driven, or the approximate numpy "
+                "fluid tier for million-user / thousand-node fleets"
+            ),
+            choices=CLUSTER_ENGINES,
+        ),
+        ParamSpec(
             name="kind",
             type="str",
             default="memory",
@@ -619,10 +620,5 @@ _spec(
     seed_description=(
         "master seed of the fleet operation run (workload stream and node seeds); "
         "the predictor's historical training runs keep the scenario's fixed seeds"
-    ),
-    engine_choices=CLUSTER_ENGINES,
-    engine_description=(
-        "fleet settlement tier: exact event-driven, per-second reference, or the "
-        "approximate numpy fluid tier for million-user / thousand-node fleets"
     ),
 )

@@ -17,7 +17,8 @@ cluster comparison — returns the same :class:`RunResult` shape from
 ``version`` / ``schema_version`` / ``engine`` / ``seed`` / ``scale``
     Provenance: the package version that produced the result, the envelope
     schema revision, and the common run parameters pulled out for
-    convenience.
+    convenience.  ``engine`` is the ``cluster`` spec's fleet tier, and
+    ``"event"`` for every other spec: their runs have no other engine.
 ``wall_clock_seconds``
     How long the run took.  Excluded from equality comparison and, by
     default, from serialization, so that two runs with the same seed emit
@@ -162,7 +163,7 @@ class RunResult:
             series=clean_series,
             seed=int(clean_params.get("seed", 0)),
             scale=str(clean_params.get("scale", "")),
-            engine=str(clean_params.get("engine", "")),
+            engine=str(clean_params.get("engine", "event")),
             version=version,
             wall_clock_seconds=float(wall_clock_seconds),
         )

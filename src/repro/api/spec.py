@@ -9,7 +9,7 @@ function that executes it.  Specs are data, not code: the CLI renders them
 parameters against them, and every :class:`~repro.api.result.RunResult`
 echoes the spec it came from.
 
-Every spec shares three common parameters:
+Every spec shares two common parameters:
 
 ``scale``
     ``"small"`` (the scaled-down testbed used by tests and examples, runs in
@@ -18,12 +18,12 @@ Every spec shares three common parameters:
 ``seed``
     The master seed of every simulated run; results are bit-for-bit
     reproducible given the same seed.
-``engine``
-    ``"event"`` (the fast unified event-driven scheduler, the default) or
-    ``"per_second"`` (the retained tick-everything reference).  Both produce
-    identical seeded traces.  The ``cluster`` spec additionally accepts
-    ``"fluid"``, the approximate numpy mean-field fleet tier for
-    million-user / thousand-node runs.
+
+Every simulated run rides the exact event-driven engine.  Only the
+``cluster`` spec adds a third parameter, ``engine``, because only there do
+two tiers really differ: ``"event"`` (exact) or ``"fluid"``, the
+approximate numpy mean-field fleet tier for million-user / thousand-node
+runs (see :data:`CLUSTER_ENGINES`).
 """
 
 from __future__ import annotations
@@ -31,23 +31,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.experiments.cluster import FLEET_ENGINES
+
 __all__ = [
     "ParamSpec",
     "ExperimentSpec",
     "common_params",
     "SCALES",
-    "ENGINES",
     "CLUSTER_ENGINES",
 ]
 
 #: The two testbed scales every experiment accepts.
 SCALES = ("small", "paper")
 
-#: The two simulation engines every experiment accepts.
-ENGINES = ("event", "per_second")
-
-#: The cluster experiment also offers the approximate fluid fleet tier.
-CLUSTER_ENGINES = ("event", "per_second", "fluid")
+#: The fleet tiers the cluster experiment's ``engine`` parameter accepts:
+#: exact event-driven or the approximate fluid tier.
+CLUSTER_ENGINES = FLEET_ENGINES
 
 _PARAM_TYPES: dict[str, type] = {"int": int, "float": float, "str": str, "bool": bool}
 
@@ -102,7 +101,7 @@ class ParamSpec:
 
 
 def common_params(seed: int) -> tuple[ParamSpec, ...]:
-    """The ``scale`` / ``seed`` / ``engine`` triple every spec carries."""
+    """The ``scale`` / ``seed`` pair every spec carries."""
     return (
         ParamSpec(
             name="scale",
@@ -116,13 +115,6 @@ def common_params(seed: int) -> tuple[ParamSpec, ...]:
             type="int",
             default=seed,
             description="master seed; equal seeds give bit-for-bit identical results",
-        ),
-        ParamSpec(
-            name="engine",
-            type="str",
-            default="event",
-            description="simulation engine: fast event-driven or per-second reference",
-            choices=ENGINES,
         ),
     )
 
@@ -142,7 +134,7 @@ class ExperimentSpec:
         which family of drivers the spec wraps.
     params:
         Declared parameters, always starting with the common
-        ``scale``/``seed``/``engine`` triple.
+        ``scale``/``seed`` pair.
     implementation:
         Dotted path of the legacy driver the adapter wraps (e.g.
         ``"repro.experiments.exp41.run_experiment_41"``); the registry
@@ -167,8 +159,8 @@ class ExperimentSpec:
         names = [param.name for param in self.params]
         if len(names) != len(set(names)):
             raise ValueError(f"spec {self.name!r} declares duplicate parameters")
-        if names[:3] != ["scale", "seed", "engine"]:
-            raise ValueError(f"spec {self.name!r} must lead with scale/seed/engine")
+        if names[:2] != ["scale", "seed"]:
+            raise ValueError(f"spec {self.name!r} must lead with scale/seed")
 
     def param(self, name: str) -> ParamSpec:
         for param in self.params:

@@ -21,16 +21,16 @@ the reproduction to that setting:
     rejuvenation (drain, restart, rejoin, bounded concurrency, minimum
     capacity floor).
 ``repro.cluster.engine``
-    The engines that wire all of it together and redistribute the workload
-    on every crash, drain and rejoin: the event-driven ``ClusterEngine``
-    (default -- advances the fleet between interesting events) and the
-    tick-everything ``PerSecondClusterEngine`` reference it reproduces
+    The exact engine that wires all of it together and redistributes the
+    workload on every crash, drain and rejoin: the event-driven
+    ``ClusterEngine`` advances the fleet between interesting events and
+    reproduces the tick-everything reference loop of the test suite
     bit-for-bit on seeded runs.
 ``repro.cluster.fluid``
-    The approximate third tier: ``FluidClusterEngine`` settles the whole
+    The approximate second tier: ``FluidClusterEngine`` settles the whole
     fleet as numpy arrays (mean-field browsers, mask-based lifecycle) for
     million-user / thousand-node scenarios, validated against the exact
-    engines on overlapping scales.
+    engine on overlapping scales.
 ``repro.cluster.status``
     Capacity-weighted availability, outage and degraded-capacity
     accounting, per node and for the whole fleet.
@@ -43,7 +43,7 @@ from repro.cluster.coordinator import (
     RollingPredictiveRejuvenation,
     UncoordinatedTimeBasedRejuvenation,
 )
-from repro.cluster.engine import ClusterEngine, PerSecondClusterEngine
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.fluid import FluidClusterEngine
 from repro.cluster.node import ClusterNode, InjectorFactory, NodeState
 from repro.cluster.routing import (
@@ -68,7 +68,6 @@ __all__ = [
     "NoClusterRejuvenation",
     "NodeOutcome",
     "NodeState",
-    "PerSecondClusterEngine",
     "RollingPredictiveRejuvenation",
     "RoundRobinRouting",
     "RoutingPolicy",

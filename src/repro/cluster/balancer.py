@@ -1,10 +1,12 @@
 """The fleet's front door: route requests and account for workload shares.
 
-``LoadBalancer`` filters the fleet down to the nodes currently accepting
-traffic, delegates the per-request choice to its pluggable
-:class:`repro.cluster.routing.RoutingPolicy` and keeps per-node routing
-statistics.  It also converts the policy's relative weights into an
-emulated-browser allocation -- the bookkeeping that makes a node's
+``LoadBalancer`` holds the pluggable
+:class:`repro.cluster.routing.RoutingPolicy` the engine asks, request by
+request, to pick one of the nodes currently accepting traffic.  It keeps no
+counters of its own: served-request accounting lives with the nodes
+(``ClusterNode.requests_served``), the one place that counts only requests
+that truly completed.  It also converts the policy's relative weights into
+an emulated-browser allocation -- the bookkeeping that makes a node's
 monitoring samples report the share of the fleet workload it is actually
 carrying, which is what the aging predictor sees as the ``workload_ebs``
 input variable (Table 2 of the paper).
@@ -23,22 +25,10 @@ __all__ = ["LoadBalancer"]
 
 
 class LoadBalancer:
-    """Routes each request to one accepting node via a pluggable policy."""
+    """The fleet's routing policy plus its emulated-browser accounting."""
 
     def __init__(self, policy: RoutingPolicy | None = None) -> None:
         self.policy = policy if policy is not None else RoundRobinRouting()
-
-    def route(self, nodes: Sequence["ClusterNode"]) -> "ClusterNode | None":
-        """Pick the node for the next request, or ``None`` on full outage.
-
-        The balancer keeps no counters of its own: served-request accounting
-        lives with the nodes (``ClusterNode.requests_served``), the single
-        authoritative place that only counts requests that truly completed.
-        """
-        candidates = [node for node in nodes if node.accepting]
-        if not candidates:
-            return None
-        return self.policy.route(candidates)
 
     def allocations(self, nodes: Sequence["ClusterNode"], total_ebs: int) -> dict[int, int]:
         """Split ``total_ebs`` emulated browsers across the fleet by weight.

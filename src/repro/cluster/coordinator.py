@@ -47,8 +47,8 @@ __all__ = [
 class ClusterRejuvenationCoordinator(abc.ABC):
     """Decides, tick by tick, which nodes start draining for a restart.
 
-    The per-second engine calls :meth:`decide` every tick.  The event-driven
-    engine calls it only at ticks where its inputs can have changed -- a
+    The per-second reference loop of the test suite calls :meth:`decide`
+    every tick.  The event-driven engine calls it only at ticks where its inputs can have changed -- a
     lifecycle transition, a crash, or a fresh monitoring sample -- plus the
     ticks :meth:`next_decision_tick` announces.  A coordinator is therefore
     *event stable*: between such ticks its decision must stay empty.  All
@@ -64,8 +64,8 @@ class ClusterRejuvenationCoordinator(abc.ABC):
     reads_node_uptime: bool = False
 
     #: Telemetry hub the cluster engine injects when tracing is active.
-    #: Coordinator counters live on the ``engine`` channel: the two engines
-    #: call :meth:`decide` at different tick sets, so the counts are
+    #: Coordinator counters live on the ``engine`` channel: the event engine
+    #: and the per-second reference call :meth:`decide` at different tick sets, so the counts are
     #: engine-specific diagnostics, not part of the sim-channel contract.
     telemetry: "Telemetry | None" = None
 
@@ -81,8 +81,7 @@ class ClusterRejuvenationCoordinator(abc.ABC):
         ``None`` means the coordinator only reacts to fleet events (the
         default).  Implementations must use the exact ``ticks x
         tick_seconds`` product comparisons of the simulation clocks so the
-        announced tick matches the tick the per-second engine would trigger
-        on.
+        announced tick matches the tick a per-second loop would trigger on.
         """
         return None
 

@@ -1,23 +1,18 @@
 """The clustered deployment engine: N testbed nodes behind one load balancer.
 
-Two engines live here, sharing one construction path and one semantics:
-
-``ClusterEngine``
-    The default, *event-driven* engine.  Instead of paying a Python loop
-    over every browser and every node each simulated second, it advances the
-    fleet from interesting event to interesting event: browser request
-    arrivals (scheduled on a heap from each browser's think time),
-    monitoring marks, injector firings, lifecycle transitions (drain expiry,
-    restart completion) and the uptime crossings a time-based coordinator
-    announces.  Nodes untouched between events are fast-forwarded in exact
-    batches, so a 100-node fleet no longer costs 100x per-second work.
-
-``PerSecondClusterEngine``
-    The tick-everything reference implementation (the original engine).  It
-    advances every node and every browser every tick.  Seeded runs of the
-    two engines produce bit-for-bit identical :class:`ClusterOutcome`
-    aggregates -- the golden-trace regression test asserts exactly that --
-    which is what makes the event-driven engine a safe default.
+``ClusterEngine`` is *event-driven*.  Instead of paying a Python loop over
+every browser and every node each simulated second, it advances the fleet
+from interesting event to interesting event: browser request arrivals
+(scheduled on a heap from each browser's think time), monitoring marks,
+injector firings, lifecycle transitions (drain expiry, restart completion)
+and the uptime crossings a time-based coordinator announces.  Nodes
+untouched between events are fast-forwarded in exact batches, so a 100-node
+fleet no longer costs 100x per-second work.  Seeded runs produce
+bit-for-bit the :class:`ClusterOutcome` aggregates, monitoring samples and
+sim-channel telemetry of the original tick-everything loop, which the test
+suite keeps as its reference (``tests/cluster/oracle.py``); the per-tick
+node primitives that loop drives (``ClusterNode.advance_tick`` /
+``end_tick``) stay on the node for it.
 
 The bit-for-bit guarantee holds for the shipped tick size (1 second) and,
 more generally, whenever per-tick float accumulation equals its batched
@@ -29,7 +24,7 @@ scheduler :mod:`repro.testbed.events` -- the same core that drives
 stand-alone ``TestbedSimulation`` runs -- with :class:`ClusterNode` adding
 only the fleet lifecycle on top.
 
-Both engines redistribute workload automatically at every membership change:
+The engine redistributes workload automatically at every membership change:
 
 * when a node **crashes mid-request**, the failed request is rerouted to the
   surviving nodes on the spot and the balancer's allocations shift to them;
@@ -66,7 +61,7 @@ from repro.testbed.tpcw.workload import WorkloadGenerator, WorkloadMix
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.hub import ENGINE as _ENGINE_CHANNEL
 
-__all__ = ["ClusterEngine", "PerSecondClusterEngine", "apply_injector_overrides"]
+__all__ = ["ClusterEngine", "apply_injector_overrides", "leak_rate_overrides"]
 
 #: Seed stride between the nodes of one cluster.
 _NODE_SEED_STRIDE = 104729
@@ -76,14 +71,42 @@ _NODE_SEED_STRIDE = 104729
 _TRANSITION, _MARK, _INJECTOR, _DECIDE = 0, 1, 2, 3
 
 
+def leak_rate_overrides(
+    memory_n: int | None = None,
+    thread_m: int | None = None,
+    thread_t: int | None = None,
+) -> dict:
+    """Validate a leak-rate mutation and return its override dict.
+
+    Omitted (``None``) rates are left out; ``memory_n`` / ``thread_m`` of 0
+    disable the respective injector.  At least one rate must be given.
+    """
+    overrides: dict = {}
+    if memory_n is not None:
+        if memory_n < 0:
+            raise ValueError("memory_n must be >= 0 (0 disables the memory leak)")
+        overrides["memory_n"] = memory_n
+    if thread_m is not None:
+        if thread_m < 0:
+            raise ValueError("thread_m must be >= 0 (0 disables the thread leak)")
+        overrides["thread_m"] = thread_m
+    if thread_t is not None:
+        if thread_t < 1:
+            raise ValueError("thread_t must be at least 1")
+        overrides["thread_t"] = thread_t
+    if not overrides:
+        raise ValueError("a leak-rate mutation needs at least one of memory_n/thread_m/thread_t")
+    return overrides
+
+
 def apply_injector_overrides(injectors, overrides: dict) -> None:
     """Apply leak-rate overrides to the paper's injector types, in place.
 
     Recognised keys: ``memory_n`` (0 disables the memory leak), ``thread_m``
     (0 disables the thread leak) and ``thread_t``.  Unknown injector types are
     left untouched -- a rate mutation only has defined semantics for the
-    paper's injectors, and both exact engines plus every future incarnation
-    must apply exactly the same calls for the streams to stay aligned.
+    paper's injectors, and every incarnation (and the reference loop) must
+    apply exactly the same calls for the streams to stay aligned.
     """
     for injector in injectors:
         if isinstance(injector, MemoryLeakInjector) and "memory_n" in overrides:
@@ -387,11 +410,11 @@ class ClusterEngine:
     def _process_event_tick(self, current: int) -> None:
         """Process one tick in exactly the reference engine's phase order.
 
-        Phases mirror ``PerSecondClusterEngine._run_one_tick``: lifecycle
-        transitions first (the reference advances every node before
-        routing), then request routing, then injector drives, then tick
-        finalisation (OS update, sampling, prediction), then the fleet
-        status record, then the coordinator's drain decisions.
+        Phases mirror the reference loop's tick: lifecycle transitions first
+        (the reference advances every node before routing), then request
+        routing, then injector drives, then tick finalisation (OS update,
+        sampling, prediction), then the fleet status record, then the
+        coordinator's drain decisions.
         """
         tick = self.config.tick_seconds
         self.clock.advance(current - self.clock.ticks)
@@ -560,10 +583,10 @@ class ClusterEngine:
     # step boundary ("after tick j fully settled, before tick j+1 begins").
     # Each mutation emits one sim-channel "mutation" event, which binds the
     # command log into the telemetry digest: replaying the same mutations at
-    # the same ticks reproduces the digest byte-for-byte, and the exact
-    # engines (event / per_second) stay bit-for-bit comparable under any
-    # mutation sequence because the per-tick semantics below mirror each
-    # other precisely.
+    # the same ticks reproduces the digest byte-for-byte, and the engine
+    # stays bit-for-bit comparable with the per-second reference loop under
+    # any mutation sequence because the semantics below mirror its ticks
+    # precisely.
 
     def _check_mutable(self) -> None:
         if self._finished:
@@ -579,9 +602,9 @@ class ClusterEngine:
         """Resize the fleet-level browser population at the boundary tick.
 
         Growth draws fresh browser seeds from the workload generator's own
-        stream (engine-invariant); shrink truncates the population tail.  The
-        per-second engine first ticks a new browser on the following tick, so
-        the event engine schedules its first fire accordingly.
+        stream (engine-invariant); shrink truncates the population tail.  A
+        tick-by-tick loop first ticks a new browser on the following tick, so
+        the engine schedules its first fire accordingly.
         """
         self._check_mutable()
         if total_ebs < 1:
@@ -612,7 +635,7 @@ class ClusterEngine:
         Semantically the node completes tick ``j`` normally and its process
         dies before tick ``j+1``: downtime is charged from ``j+1`` and the
         node rejoins after its crash-recovery window, exactly as if a served
-        request had crashed it -- both engines time it identically.
+        request had crashed it -- the reference loop times it identically.
         """
         self._check_mutable()
         node = self._mutation_node(node_id)
@@ -676,21 +699,7 @@ class ClusterEngine:
         workload-driven.
         """
         self._check_mutable()
-        overrides: dict = {}
-        if memory_n is not None:
-            if memory_n < 0:
-                raise ValueError("memory_n must be >= 0 (0 disables the memory leak)")
-            overrides["memory_n"] = memory_n
-        if thread_m is not None:
-            if thread_m < 0:
-                raise ValueError("thread_m must be >= 0 (0 disables the thread leak)")
-            overrides["thread_m"] = thread_m
-        if thread_t is not None:
-            if thread_t < 1:
-                raise ValueError("thread_t must be at least 1")
-            overrides["thread_t"] = thread_t
-        if not overrides:
-            raise ValueError("a leak-rate mutation needs at least one of memory_n/thread_m/thread_t")
+        overrides = leak_rate_overrides(memory_n, thread_m, thread_t)
         targets = self.nodes if node_id is None else [self._mutation_node(node_id)]
         self._ensure_started()
         for node in targets:
@@ -805,122 +814,3 @@ class ClusterEngine:
             f"{type(self).__name__}({len(self.nodes)} nodes, {self.total_ebs} EBs, "
             f"{self.balancer.describe()}, {self.coordinator.describe()})"
         )
-
-
-class PerSecondClusterEngine(ClusterEngine):
-    """The tick-everything reference engine.
-
-    Advances every node and ticks every browser each simulated second --
-    the original cluster loop, kept as the executable semantics the
-    event-driven engine is tested against (and as a fallback for custom
-    coordinators or injectors that violate the event-stability contract).
-    """
-
-    def run(self, max_seconds: float) -> ClusterOutcome:
-        self._check_batch_use(max_seconds)
-        self._ensure_started()
-        tick = self.config.tick_seconds
-        while self.clock.now < max_seconds:
-            self.clock.advance()
-            self._run_one_tick(tick)
-        self._current_tick = self.clock.ticks
-        return self.finish()
-
-    def _prime_events(self) -> None:
-        """The reference engine ticks everything: no wake events to arm."""
-
-    def step(self, ticks: int) -> int:
-        if ticks < 1:
-            raise ValueError("ticks must be at least 1")
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-        self._ensure_started()
-        tick = self.config.tick_seconds
-        for _ in range(ticks):
-            self.clock.advance()
-            self._run_one_tick(tick)
-        self._current_tick = self.clock.ticks
-        return self._current_tick
-
-    def finish(self) -> ClusterOutcome:
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-        self._finished = True
-        outcome = self.outcome()
-        if self.telemetry is not None:
-            self.telemetry.count(
-                "cluster.per_second.ticks", self.clock.ticks, channel=_ENGINE_CHANNEL
-            )
-        self._telemetry_finalize(outcome)
-        return outcome
-
-    # ---------------------------------------------------- mutation plumbing
-    #
-    # The reference engine re-derives everything per tick, so boundary
-    # mutations reduce to the plain lifecycle calls; the event engine's
-    # overrides above replicate exactly these semantics on its heaps.
-
-    def _after_load_change(self, old_count: int) -> None:
-        """Nothing to re-arm: the per-tick loop sees the new population."""
-
-    def _apply_kill(self, node: ClusterNode, crash: ServerCrash) -> None:
-        node.record_crash(crash)
-
-    def _apply_rejuvenate(self, node: ClusterNode) -> None:
-        node.begin_drain()
-
-    def _run_one_tick(self, tick: float) -> None:
-        live_nodes = [node for node in self.nodes if node.advance_tick(tick)]
-        served, dropped, routed_per_node = self._route_requests(tick)
-        self._drive_injectors(live_nodes)
-        self._close_node_ticks(live_nodes, routed_per_node)
-        active = sum(1 for node in self.nodes if node.accepting)
-        self.status.record_tick(tick, active_nodes=active, served=served, dropped=dropped)
-        for node in self.coordinator.decide(self.clock.now, self.nodes):
-            node.begin_drain()
-
-    def _route_requests(self, tick: float) -> tuple[int, int, dict[int, int]]:
-        """Issue this tick's fleet workload and route it request by request."""
-        served = 0
-        dropped = 0
-        routed_per_node: dict[int, int] = {}
-        for browser, interaction in self.workload.tick(tick):
-            while True:
-                target = self.balancer.route(self.nodes)
-                if target is None:
-                    # Full outage: the request is lost and the browser backs off.
-                    dropped += 1
-                    browser.start_request(self.dropped_request_penalty_s)
-                    break
-                try:
-                    outcome = target.serve(interaction)
-                except ServerCrash as crash:
-                    # The node died under this request: take it out of
-                    # rotation and redistribute to the survivors.
-                    target.record_crash(crash)
-                    self.requests_rerouted += 1
-                    continue
-                browser.start_request(outcome.response_time_s)
-                served += 1
-                routed_per_node[target.node_id] = routed_per_node.get(target.node_id, 0) + 1
-                break
-        return served, dropped, routed_per_node
-
-    def _drive_injectors(self, live_nodes: Sequence[ClusterNode]) -> None:
-        for node in live_nodes:
-            if not node.live:  # crashed earlier this tick while serving
-                continue
-            try:
-                node.drive_injectors()
-            except ServerCrash as crash:
-                node.record_crash(crash)
-
-    def _close_node_ticks(self, live_nodes: Sequence[ClusterNode], routed: dict[int, int]) -> None:
-        allocations = self.balancer.allocations(self.nodes, self.total_ebs)
-        for node in live_nodes:
-            if not node.live:
-                continue
-            node.end_tick(
-                requests_completed=routed.get(node.node_id, 0),
-                assigned_ebs=allocations.get(node.node_id, 0),
-            )

@@ -24,16 +24,16 @@ loop with per-tick numpy array operations over the entire fleet:
 
 Accuracy contract: aggregate, not bit-for-bit -- the validation harness
 (``tests/cluster/test_fluid_validation.py``) pins availability, crash counts
-and uptime-per-crash against the exact engines on overlapping scales.
+and uptime-per-crash against the exact engine on overlapping scales.
 Determinism contract: seeded runs are byte-identical across repeats and
 worker settings (one ``PCG64`` stream consumed in fixed per-tick order), but
 the stream is tier-specific: telemetry digests of fluid runs are stable yet
-deliberately *not* comparable to the exact engines' digests.
+deliberately *not* comparable to the exact engine's digests.
 
 Unsupported pieces fail loudly instead of approximating silently: custom
 routing policies, custom coordinators, lifecycle-managed monitors
 (``monitor_factory``) and non-paper fault injectors all raise ``ValueError``
-pointing back at the exact tiers.
+pointing back at the exact tier.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.cluster.coordinator import (
     RollingPredictiveRejuvenation,
     UncoordinatedTimeBasedRejuvenation,
 )
-from repro.cluster.engine import _NODE_SEED_STRIDE
+from repro.cluster.engine import _NODE_SEED_STRIDE, apply_injector_overrides, leak_rate_overrides
 from repro.cluster.node import InjectorFactory, MonitorFactory
 from repro.cluster.routing import (
     AgingAwareRouting,
@@ -169,7 +169,7 @@ class FluidClusterEngine:
         else:
             raise ValueError(
                 f"fluid tier has no closed form for routing policy {type(policy).__name__}; "
-                "use engine='event' or 'per_second'"
+                "use the exact engine='event'"
             )
         self.coordinator = coordinator if coordinator is not None else NoClusterRejuvenation()
         if not isinstance(
@@ -178,7 +178,7 @@ class FluidClusterEngine:
         ):
             raise ValueError(
                 f"fluid tier has no closed form for coordinator {type(self.coordinator).__name__}; "
-                "use engine='event' or 'per_second'"
+                "use the exact engine='event'"
             )
 
         configs = list(node_configs) if node_configs is not None else [self.config] * num_nodes
@@ -557,27 +557,10 @@ class FluidClusterEngine:
         per-incarnation injectors to rebuild).
         """
         self._check_mutable()
-        overrides: dict = {}
-        if memory_n is not None:
-            if memory_n < 0:
-                raise ValueError("memory_n must be >= 0 (0 disables the memory leak)")
-            overrides["memory_n"] = memory_n
-        if thread_m is not None:
-            if thread_m < 0:
-                raise ValueError("thread_m must be >= 0 (0 disables the thread leak)")
-            overrides["thread_m"] = thread_m
-        if thread_t is not None:
-            if thread_t < 1:
-                raise ValueError("thread_t must be at least 1")
-            overrides["thread_t"] = thread_t
-        if not overrides:
-            raise ValueError("a leak-rate mutation needs at least one of memory_n/thread_m/thread_t")
+        overrides = leak_rate_overrides(memory_n, thread_m, thread_t)
         if node_id is not None:
             self._check_node_id(node_id)
         self._ensure_started()
-        # Late import: the override helper lives next to the exact engines.
-        from repro.cluster.engine import apply_injector_overrides
-
         targets = range(self.num_nodes) if node_id is None else (node_id,)
         for target in targets:
             store = self._injector_overrides.setdefault(target, {})

@@ -33,9 +33,10 @@ nodes' GC timestamps can lag within a monitoring interval.  Nothing derived
 from a cluster run reads them (the single-server engine keeps its clock
 eager and is unaffected).
 
-A node must be driven through exactly one of the two APIs (per-tick
-``advance_tick``/``end_tick`` or the ``ev_*`` events) for its whole life;
-the engine that owns it picks.
+A node must be driven through exactly one of the two APIs for its whole
+life: the ``ev_*`` events of the event-driven ``ClusterEngine``, or the
+per-tick ``advance_tick``/``end_tick`` primitives, which only the
+tick-everything reference loop of the test suite drives.
 """
 
 from __future__ import annotations
@@ -314,7 +315,8 @@ class ClusterNode:
 
         Returns whether the node is live (and had its simulation's tick
         begun) for this tick.  Down nodes sit out their remaining downtime
-        and rejoin automatically with a fresh incarnation.
+        and rejoin automatically with a fresh incarnation.  A per-tick
+        primitive of the reference loop (see the module docstring).
         """
         if self.state is NodeState.RESTARTING:
             if self._downtime_remaining > 0:
@@ -350,7 +352,7 @@ class ClusterNode:
         Bumps the node's own ``forecast_version`` and, in lockstep, the
         fleet-shared :class:`RoutingEpoch` the routing policy's fast path
         keys on.  Every forecast transition must go through here -- a missed
-        epoch bump would let the policy replay a stale routing regime.
+        epoch bump would let the policy keep routing on a stale regime.
         """
         self.forecast_version += 1
         if self.routing_epoch is not None:

@@ -19,7 +19,9 @@ the next TPC-W interaction.  Three strategies are provided:
 
 Policies are deterministic: ``AgingAwareRouting`` uses smooth weighted
 round-robin (the nginx algorithm) instead of random weighted sampling, so a
-seeded cluster run is exactly reproducible.
+seeded cluster run is exactly reproducible.  Its frozen-weight regimes are
+pinned bit for bit against the per-request scan the test suite keeps as its
+reference (``tests/cluster/oracle.py``).
 """
 
 from __future__ import annotations
@@ -125,32 +127,21 @@ class AgingAwareRouting(RoutingPolicy):
     A node's health weight only changes when its forecast does — at a
     monitoring mark, a crash or a restart — while ``route`` runs for every
     request of every tick.  Between two such changes the candidates form a
-    *regime*: membership and weights are frozen, so the smooth-WRR credit
-    scan is a fixed deterministic map on the credit vector.  The policy
-    exploits that at two levels:
+    *regime*: membership and weights are frozen, so the policy scans a
+    dense credit array against a frozen weight vector instead of
+    recomputing every weight and walking a per-node credit dict.  A regime
+    is revalidated cheaply: if the engine passes the *same list object* and
+    the fleet's shared :class:`RoutingEpoch` counter has not moved, no
+    per-node work happens at all; otherwise the candidates'
+    ``(node_id, forecast_version)`` tuples are compared
+    (:attr:`~repro.cluster.node.ClusterNode.forecast_version` is a counter
+    the node bumps on every forecast transition), so fresh-but-equal
+    candidate lists still hit.
 
-    * Within a regime it works on a dense local credit array (no dict
-      lookups) and runs Brent cycle detection on the credit state.  Smooth
-      WRR over rational weights is periodic — e.g. a fleet of healthy
-      nodes plus half-weight shedding nodes cycles after ``sum(2*w)``
-      requests — and once the period is found, every further ``route`` is
-      an O(1) replay of the recorded winner sequence.  Weight vectors
-      whose period exceeds the recording cap simply keep using the plain
-      array scan.
-    * A regime is revalidated cheaply: if the engine passes the *same
-      list object* and the fleet's shared :class:`RoutingEpoch` counter
-      has not moved, no per-node work happens at all; otherwise the
-      candidates' ``(node_id, forecast_version)`` tuples are compared
-      (:attr:`~repro.cluster.node.ClusterNode.forecast_version` is a
-      counter the node bumps on every forecast transition), so the
-      per-second reference engine's fresh-but-equal lists still hit.
-
-    The local credit array starts from the reference implementation's
-    per-node credit dict and is written back when the regime ends, and the
-    scan performs the identical float operations in the identical order,
-    so routing decisions are bit-for-bit identical to the reference scan
-    either way; nodes that do not expose the version counter (e.g. bare
-    test stubs) bypass the machinery entirely.
+    The credit array starts from the per-node credit dict and is written
+    back when the regime ends, and the scan performs the float operations
+    of a per-request scan over that dict in the identical order, so routing
+    decisions are bit-for-bit those of the plain per-request algorithm.
 
     Parameters
     ----------
@@ -159,32 +150,15 @@ class AgingAwareRouting(RoutingPolicy):
         fully healthy.
     shed_floor:
         Minimum health weight of an alarmed node, in ``(0, 1]``.
-    cache_weights:
-        Memoize the weight vector between forecast changes (the default).
-        ``False`` recomputes every request — retained as the reference path
-        for the equivalence test and the routing micro-benchmark.
     """
 
-    #: Longest winner sequence Brent detection will record before giving up
-    #: on finding a cycle for the current regime.  Dyadic weight vectors
-    #: (healthy 1.0 / shed 0.5 fleets) cycle within ``2 * sum(weights)``
-    #: steps; irrational-looking float mixes may never recur exactly, and
-    #: past this cap the regime just keeps the plain array scan.
-    RECORD_CAP = 2048
-
-    def __init__(
-        self,
-        ttf_comfort_seconds: float = 900.0,
-        shed_floor: float = 0.1,
-        cache_weights: bool = True,
-    ) -> None:
+    def __init__(self, ttf_comfort_seconds: float = 900.0, shed_floor: float = 0.1) -> None:
         if ttf_comfort_seconds <= 0:
             raise ValueError("ttf_comfort_seconds must be positive")
         if not 0.0 < shed_floor <= 1.0:
             raise ValueError("shed_floor must be in (0, 1]")
         self.ttf_comfort_seconds = float(ttf_comfort_seconds)
         self.shed_floor = float(shed_floor)
-        self.cache_weights = bool(cache_weights)
         self._credit: dict[int, float] = {}
         # Regime identity: the validated candidate list (by object identity),
         # the fleet epoch backing the fast path, and the (ids, versions) key
@@ -194,17 +168,10 @@ class AgingAwareRouting(RoutingPolicy):
         self._regime_epoch_version = 0
         self._regime_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._regime_ids: tuple[int, ...] = ()
-        # Regime dynamics: frozen weights, live credit array, and the Brent
-        # cycle-detection state over it.
+        # Regime dynamics: frozen weights and the live credit array.
         self._weights_vec: list[float] = []
         self._total = 0.0
         self._credits: list[float] = []
-        self._steps = 0
-        self._snap_step = 0
-        self._snap_credits: list[float] | None = None
-        self._record: list[int] = []
-        self._power = 1
-        self._cycle_len: int | None = None
 
     def health_weight(self, node: "ClusterNode") -> float:
         """Traffic weight of one node from its current TTF forecast."""
@@ -220,54 +187,23 @@ class AgingAwareRouting(RoutingPolicy):
     def route(self, candidates: Sequence["ClusterNode"]) -> "ClusterNode":
         if not candidates:
             raise ValueError("cannot route a request with no accepting nodes")
-        if not self.cache_weights:
-            # Reference path, retained for the equivalence tests and the
-            # routing micro-benchmark.
-            weights = self.weights(candidates)
-            return self._reference_scan(candidates, weights, sum(weights))
         # Fast path: the engine handed back the exact list object we already
         # validated and the fleet epoch has not moved, so membership and
         # every forecast are provably unchanged.
-        if (
+        if not (
             candidates is self._regime_list
             and self._regime_epoch is not None
             and self._regime_epoch.version == self._regime_epoch_version
         ):
-            return candidates[self._regime_step()]
-        versions = tuple(getattr(node, "forecast_version", None) for node in candidates)
-        if None in versions:
-            # A candidate without the version counter could change weight
-            # with no detectable signal: sync back and take the reference
-            # path for this call.
-            self._exit_regime()
-            weights = self.weights(candidates)
-            return self._reference_scan(candidates, weights, sum(weights))
-        ids = tuple(node.node_id for node in candidates)
-        if (ids, versions) == self._regime_key:
-            # Same regime through a different (or epoch-less) list object --
-            # the per-second engine rebuilds its candidate list per request.
-            self._rebind_regime(candidates)
-            return candidates[self._regime_step()]
-        self._exit_regime()
-        self._enter_regime(candidates, ids, versions)
-        return candidates[self._regime_step()]
-
-    def _reference_scan(
-        self, candidates: Sequence["ClusterNode"], weights: Sequence[float], total: float
-    ) -> "ClusterNode":
-        # Smooth weighted round-robin: accumulate credit, serve the largest,
-        # then charge it the round's total.  Deterministic and proportional.
-        best_index = 0
-        best_credit = float("-inf")
-        for index, (node, weight) in enumerate(zip(candidates, weights)):
-            credit = self._credit.get(node.node_id, 0.0) + weight
-            self._credit[node.node_id] = credit
-            if credit > best_credit:
-                best_credit = credit
-                best_index = index
-        chosen = candidates[best_index]
-        self._credit[chosen.node_id] = self._credit[chosen.node_id] - total
-        return chosen
+            ids = tuple(node.node_id for node in candidates)
+            versions = tuple(node.forecast_version for node in candidates)
+            if (ids, versions) == self._regime_key:
+                # Same regime through a different (or epoch-less) list object.
+                self._rebind_regime(candidates)
+            else:
+                self._exit_regime()
+                self._enter_regime(candidates, ids, versions)
+        return candidates[self._scan()]
 
     def _enter_regime(
         self,
@@ -289,12 +225,6 @@ class AgingAwareRouting(RoutingPolicy):
         self._weights_vec = [self.health_weight(node) for node in candidates]
         self._total = sum(self._weights_vec)
         self._credits = [self._credit.get(node_id, 0.0) for node_id in ids]
-        self._steps = 0
-        self._snap_step = 0
-        self._snap_credits = list(self._credits)
-        self._record = []
-        self._power = 1
-        self._cycle_len = None
 
     def _rebind_regime(self, candidates: Sequence["ClusterNode"]) -> None:
         self._regime_list = candidates
@@ -307,7 +237,7 @@ class AgingAwareRouting(RoutingPolicy):
         """Write the regime's credit state back to the per-node dict."""
         if self._regime_key is None:
             return
-        for node_id, credit in zip(self._regime_ids, self._current_credits()):
+        for node_id, credit in zip(self._regime_ids, self._credits):
             self._credit[node_id] = credit
         self._regime_list = None
         self._regime_epoch = None
@@ -315,46 +245,14 @@ class AgingAwareRouting(RoutingPolicy):
         self._regime_ids = ()
         self._weights_vec = []
         self._credits = []
-        self._snap_credits = None
-        self._record = []
-        self._cycle_len = None
 
-    def _regime_step(self) -> int:
-        """Advance the regime by one request and return the winner's index."""
-        step = self._steps
-        self._steps = step + 1
-        cycle = self._cycle_len
-        if cycle is not None:
-            return self._record[(step - self._snap_step) % cycle]
-        winner = self._scan(self._credits)
-        if self._snap_credits is not None:
-            record = self._record
-            record.append(winner)
-            if self._credits == self._snap_credits:
-                # The credit state recurred: the winner sequence since the
-                # snapshot is exactly one period.  Replay from here on.
-                self._cycle_len = len(record)
-            elif len(record) == self._power:
-                if self._power >= self.RECORD_CAP:
-                    # No cycle within the cap -- keep the plain array scan.
-                    self._snap_credits = None
-                    self._record = []
-                else:
-                    # Brent: move the snapshot forward, double the search
-                    # window.  Guarantees detection in O(cycle length).
-                    self._snap_step = step + 1
-                    self._snap_credits = list(self._credits)
-                    self._record = []
-                    self._power *= 2
-        return winner
+    def _scan(self) -> int:
+        """One smooth-WRR credit scan over the regime; return the winner's index.
 
-    def _scan(self, credits: list[float]) -> int:
-        """One smooth-WRR credit scan over the regime's dense arrays.
-
-        Performs float operations identical (in value and order) to
-        :meth:`_reference_scan` over the same members, so the two paths
-        yield bit-for-bit equal credits and decisions.
+        Accumulate credit, serve the largest, then charge it the round's
+        total: deterministic and proportional to the weights.
         """
+        credits = self._credits
         weights = self._weights_vec
         best_index = 0
         best_credit = float("-inf")
@@ -366,22 +264,6 @@ class AgingAwareRouting(RoutingPolicy):
                 best_index = index
         credits[best_index] = credits[best_index] - self._total
         return best_index
-
-    def _current_credits(self) -> list[float]:
-        """The regime's credit state at the current step.
-
-        While replaying a detected cycle the live array is frozen at the
-        snapshot state; the true state is reconstructed by re-running the
-        scan for the current phase of the cycle.  Because the snapshot
-        state recurs exactly, these are the same float operations the
-        reference would have performed on its most recent steps.
-        """
-        if self._cycle_len is None:
-            return self._credits
-        credits = list(self._snap_credits or ())
-        for _ in range((self._steps - self._snap_step) % self._cycle_len):
-            self._scan(credits)
-        return credits
 
     def describe(self) -> str:
         return (

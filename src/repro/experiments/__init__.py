@@ -29,8 +29,8 @@ run the test scenario and score it with the paper's accuracy measures:
    Calling the drivers below directly is soft-deprecated for experiment
    execution: every one of them is registered in :mod:`repro.api` and the
    preferred entry point is ``repro.api.run(name, **params)`` (or the
-   ``repro`` CLI), which adds uniform ``scale``/``seed``/``engine``
-   parameters and a serializable :class:`~repro.api.RunResult` envelope.
+   ``repro`` CLI), which adds uniform ``scale``/``seed`` parameters and a
+   serializable :class:`~repro.api.RunResult` envelope.
    The functions remain the underlying implementations and keep working.
 """
 

@@ -51,9 +51,7 @@ class AblationPoint:
     post_mae_seconds: float
 
 
-def _dynamic_scenario_traces(
-    scenarios: ExperimentScenarios, engine: str = "event"
-) -> tuple[list[Trace], Trace]:
+def _dynamic_scenario_traces(scenarios: ExperimentScenarios) -> tuple[list[Trace], Trace]:
     """Training and test traces of the Experiment 4.2 scenario."""
     workload = scenarios.workload_42
     training: list[Trace] = [
@@ -62,20 +60,19 @@ def _dynamic_scenario_traces(
             workload,
             duration_seconds=scenarios.healthy_run_seconds,
             seed=scenarios.seed_for(600),
-            engine=engine,
         )
     ]
     for index, rate in enumerate(rate for rate in scenarios.training_rates_42 if rate is not None):
         training.append(
             run_memory_leak_trace(
-                scenarios.config, workload, n=rate, seed=scenarios.seed_for(601 + index), engine=engine
+                scenarios.config, workload, n=rate, seed=scenarios.seed_for(601 + index)
             )
         )
     phases = [
         (index * scenarios.phase_seconds_42, rate) for index, rate in enumerate(scenarios.test_rates_42)
     ]
     test_trace = run_dynamic_memory_trace(
-        scenarios.config, workload, phases=phases, seed=scenarios.seed_for(650), engine=engine
+        scenarios.config, workload, phases=phases, seed=scenarios.seed_for(650)
     )
     if not test_trace.crashed:
         raise RuntimeError("the dynamic ablation scenario did not crash")
@@ -96,11 +93,10 @@ def run_window_sweep(
     scenarios: ExperimentScenarios | None = None,
     windows: Sequence[int] = (2, 6, 12, 24, 48),
     traces: tuple[list[Trace], Trace] | None = None,
-    engine: str = "event",
 ) -> list[AblationPoint]:
     """Accuracy of M5P as a function of the sliding-window length."""
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
-    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active, engine)
+    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active)
     points = []
     for window in windows:
         predictor = AgingPredictor(model="m5p", window=window).fit(training)
@@ -111,11 +107,10 @@ def run_window_sweep(
 def run_derived_variable_ablation(
     scenarios: ExperimentScenarios | None = None,
     traces: tuple[list[Trace], Trace] | None = None,
-    engine: str = "event",
 ) -> list[AblationPoint]:
     """M5P with the full Table 2 set versus raw metrics only."""
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
-    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active, engine)
+    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active)
     points = []
     for label, include_derived in (("raw+derived", True), ("raw only", False)):
         catalog = FeatureCatalog(include_derived=include_derived)
@@ -143,11 +138,10 @@ def run_derived_variable_ablation(
 def run_smoothing_ablation(
     scenarios: ExperimentScenarios | None = None,
     traces: tuple[list[Trace], Trace] | None = None,
-    engine: str = "event",
 ) -> list[AblationPoint]:
     """M5P with and without Quinlan's prediction smoothing."""
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
-    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active, engine)
+    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active)
     dataset = build_dataset(training)
     test_dataset = build_dataset([test_trace])
     points = []
@@ -177,11 +171,10 @@ def run_security_margin_sweep(
     scenarios: ExperimentScenarios | None = None,
     margins: Sequence[float] = (0.0, 0.05, 0.10, 0.20, 0.30),
     traces: tuple[list[Trace], Trace] | None = None,
-    engine: str = "event",
 ) -> list[AblationPoint]:
     """S-MAE of M5P as a function of the security margin (10 % in the paper)."""
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
-    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active, engine)
+    training, test_trace = traces if traces is not None else _dynamic_scenario_traces(active)
     predictor = AgingPredictor(model="m5p").fit(training)
     predictions = predictor.predict_trace(test_trace)
     points = []

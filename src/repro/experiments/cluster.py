@@ -34,7 +34,7 @@ from repro.cluster.coordinator import (
     RollingPredictiveRejuvenation,
     UncoordinatedTimeBasedRejuvenation,
 )
-from repro.cluster.engine import ClusterEngine, PerSecondClusterEngine
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.fluid import FluidClusterEngine
 from repro.cluster.routing import AgingAwareRouting, RoutingPolicy
 from repro.cluster.status import ClusterOutcome
@@ -46,6 +46,7 @@ from repro.lifecycle import LifecycleConfig, ManagedOnlineMonitor
 from repro.testbed.monitoring.collector import Trace
 
 __all__ = [
+    "FLEET_ENGINES",
     "ClusterExperimentResult",
     "generate_cluster_training_traces",
     "train_cluster_predictor",
@@ -55,6 +56,10 @@ __all__ = [
     "run_cluster_policy",
     "run_cluster_experiment",
 ]
+
+#: The fleet settlement tiers: the exact event-driven engine and the
+#: approximate numpy fluid tier.
+FLEET_ENGINES = ("event", "fluid")
 
 
 @dataclass
@@ -88,9 +93,7 @@ class ClusterExperimentResult:
         return [outcome.summary() for outcome in self.outcomes().values()]
 
 
-def generate_cluster_training_traces(
-    scenario: ClusterScenario, engine: str = "event"
-) -> list[Trace]:
+def generate_cluster_training_traces(scenario: ClusterScenario) -> list[Trace]:
     """Single-server failure runs bracketing the per-node fleet workloads.
 
     The training mix follows the scenario kind: memory fleets train on
@@ -101,9 +104,7 @@ def generate_cluster_training_traces(
     underestimates the time to failure when both climb together, and an
     underestimating monitor rejuvenates the fleet into the ground.
     Heterogeneous fleets repeat the runs for every distinct node
-    configuration.  ``engine`` selects the single-server simulation engine
-    used for the training runs (``"event"`` or ``"per_second"``, bit-for-bit
-    identical given the seeds).
+    configuration.
     """
     traces: list[Trace] = []
     for config in scenario.training_configs():
@@ -117,7 +118,6 @@ def generate_cluster_training_traces(
                             n=scenario.memory_n,
                             seed=seed,
                             max_seconds=scenario.training_max_seconds,
-                            engine=engine,
                         )
                     )
                 if scenario.kind != "memory":
@@ -129,7 +129,6 @@ def generate_cluster_training_traces(
                             t=scenario.thread_t,
                             seed=seed,
                             max_seconds=scenario.training_max_seconds,
-                            engine=engine,
                         )
                     )
                 if scenario.kind == "two_resource":
@@ -140,7 +139,6 @@ def generate_cluster_training_traces(
                             phases=[(0.0, scenario.memory_n, scenario.thread_m, scenario.thread_t)],
                             seed=seed,
                             max_seconds=scenario.training_max_seconds,
-                            engine=engine,
                         )
                     )
     crashless = [trace for trace in traces if not trace.crashed]
@@ -216,20 +214,17 @@ def build_cluster_engine(
 ):
     """Construct (but do not run) the cluster engine of one fleet policy.
 
-    ``fleet_engine`` selects the cluster engine tier: ``"event"`` (exact,
-    default), ``"per_second"`` (exact tick-everything reference) or
-    ``"fluid"`` (approximate numpy mean-field tier for wide fleets).  The
-    fleet service drives the returned engine incrementally through
-    ``step``/``finish``; :func:`run_cluster_policy` runs it to the scenario
-    horizon in one batch.
+    ``fleet_engine`` selects the cluster engine tier (one of
+    :data:`FLEET_ENGINES`): ``"event"`` (exact, default) or ``"fluid"``
+    (approximate numpy mean-field tier for wide fleets).  The fleet service
+    drives the returned engine incrementally through ``step``/``finish``;
+    :func:`run_cluster_policy` runs it to the scenario horizon in one batch.
     """
-    if fleet_engine not in ("event", "per_second", "fluid"):
-        raise ValueError(f"unknown fleet engine {fleet_engine!r}")
-    engine_cls = {
-        "event": ClusterEngine,
-        "per_second": PerSecondClusterEngine,
-        "fluid": FluidClusterEngine,
-    }[fleet_engine]
+    if fleet_engine not in FLEET_ENGINES:
+        raise ValueError(
+            f"unknown fleet engine {fleet_engine!r}; use one of {', '.join(FLEET_ENGINES)}"
+        )
+    engine_cls = ClusterEngine if fleet_engine == "event" else FluidClusterEngine
     return engine_cls(
         num_nodes=scenario.num_nodes,
         config=scenario.config,
@@ -286,36 +281,32 @@ def run_cluster_experiment(
     share them across fixtures); both are regenerated from the scenario when
     omitted.
 
-    ``engine`` selects the simulation tier.  ``"event"`` and
-    ``"per_second"`` pick the single-server engine of the generated training
-    runs while the fleet itself runs the exact event-driven
-    ``ClusterEngine`` (their sim-channel telemetry digests agree --
-    engine-invariant).  ``"fluid"`` runs the three fleets on the
-    approximate numpy :class:`~repro.cluster.fluid.FluidClusterEngine`
-    (training traces still come from the exact event engine); fluid
-    outcomes match the exact aggregates within the validation bounds but
-    are not bit-identical to them.
+    ``engine`` selects the fleet tier (one of :data:`FLEET_ENGINES`).
+    ``"event"`` runs the three fleets on the exact event-driven
+    ``ClusterEngine``; ``"fluid"`` runs them on the approximate numpy
+    :class:`~repro.cluster.fluid.FluidClusterEngine`, whose outcomes match
+    the exact aggregates within the validation bounds but are not
+    bit-identical to them.  The training runs are single-server runs on the
+    event-driven engine either way.
     """
-    if engine not in ("event", "per_second", "fluid"):
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in FLEET_ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {', '.join(FLEET_ENGINES)}")
     active = scenario if scenario is not None else ClusterScenario.paper_scale()
-    fleet_engine = "fluid" if engine == "fluid" else "event"
-    training_engine = "event" if engine == "fluid" else engine
-    if active.lifecycle and fleet_engine == "fluid":
+    if active.lifecycle and engine == "fluid":
         raise ValueError(
             "lifecycle-managed monitors are not supported by the fluid tier; "
-            "use engine='event' or 'per_second' with lifecycle=true"
+            "use engine='event' with lifecycle=true"
         )
 
     if training is None:
-        training = generate_cluster_training_traces(active, engine=training_engine)
+        training = generate_cluster_training_traces(active)
     if predictor is None:
         predictor = train_cluster_predictor(active, training)
     interval = derive_time_based_interval(active, training)
 
-    no_rejuvenation = run_cluster_policy(active, NoClusterRejuvenation(), fleet_engine=fleet_engine)
+    no_rejuvenation = run_cluster_policy(active, NoClusterRejuvenation(), fleet_engine=engine)
     time_based = run_cluster_policy(
-        active, UncoordinatedTimeBasedRejuvenation(interval), fleet_engine=fleet_engine
+        active, UncoordinatedTimeBasedRejuvenation(interval), fleet_engine=engine
     )
     # scenario.lifecycle swaps the predictive policy's per-incarnation
     # monitors for node-local lifecycle managers; the stationary scenarios
@@ -330,7 +321,7 @@ def run_cluster_experiment(
         routing_policy=AgingAwareRouting(ttf_comfort_seconds=active.ttf_comfort_seconds),
         predictor=None if active.lifecycle else predictor,
         monitor_factory=lifecycle_monitor_factory(active, predictor) if active.lifecycle else None,
-        fleet_engine=fleet_engine,
+        fleet_engine=engine,
     )
     return ClusterExperimentResult(
         no_rejuvenation=no_rejuvenation,

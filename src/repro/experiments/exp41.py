@@ -79,7 +79,6 @@ def _non_heap_feature_names() -> list[str]:
 def run_experiment_41(
     scenarios: ExperimentScenarios | None = None,
     traces: dict[int, Trace] | None = None,
-    engine: str = "event",
 ) -> Experiment41Result:
     """Regenerate Experiment 4.1 / Table 3.
 
@@ -94,9 +93,6 @@ def run_experiment_41(
         Optional pre-generated traces keyed by workload (useful to share runs
         between the experiment and ablations); missing workloads are
         simulated on demand.
-    engine:
-        Simulation engine for every generated trace (``"event"`` or
-        ``"per_second"``); both are bit-for-bit identical given the seed.
     """
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
     cache = dict(traces) if traces is not None else {}
@@ -108,7 +104,6 @@ def run_experiment_41(
                 workload_ebs=workload,
                 n=active.memory_n_41,
                 seed=active.seed_for(run_index),
-                engine=engine,
             )
         return cache[workload]
 

@@ -81,13 +81,11 @@ class Experiment42Result:
 
 def run_experiment_42(
     scenarios: ExperimentScenarios | None = None,
-    engine: str = "event",
 ) -> Experiment42Result:
     """Regenerate Experiment 4.2 / Figure 3.
 
     Prefer the unified entry point ``repro.api.run("exp42", ...)``; this
-    function remains as the underlying driver.  ``engine`` selects the
-    simulation engine of every generated trace.
+    function remains as the underlying driver.
     """
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
     workload = active.workload_42
@@ -98,13 +96,12 @@ def run_experiment_42(
             workload,
             duration_seconds=active.healthy_run_seconds,
             seed=active.seed_for(200),
-            engine=engine,
         )
     ]
     for index, rate in enumerate(rate for rate in active.training_rates_42 if rate is not None):
         training.append(
             run_memory_leak_trace(
-                active.config, workload, n=rate, seed=active.seed_for(201 + index), engine=engine
+                active.config, workload, n=rate, seed=active.seed_for(201 + index)
             )
         )
 
@@ -112,7 +109,7 @@ def run_experiment_42(
         (index * active.phase_seconds_42, rate) for index, rate in enumerate(active.test_rates_42)
     ]
     test_trace = run_dynamic_memory_trace(
-        active.config, workload, phases=phases, seed=active.seed_for(250), engine=engine
+        active.config, workload, phases=phases, seed=active.seed_for(250)
     )
     if not test_trace.crashed:
         raise RuntimeError(

@@ -88,13 +88,11 @@ class Experiment43Result:
 
 def run_experiment_43(
     scenarios: ExperimentScenarios | None = None,
-    engine: str = "event",
 ) -> Experiment43Result:
     """Regenerate Experiment 4.3 / Figure 4 / Table 4.
 
     Prefer the unified entry point ``repro.api.run("exp43", ...)``; this
-    function remains as the underlying driver.  ``engine`` selects the
-    simulation engine of every generated trace.
+    function remains as the underlying driver.
     """
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
     workload = active.workload_42
@@ -105,13 +103,12 @@ def run_experiment_43(
             workload,
             duration_seconds=active.healthy_run_seconds,
             seed=active.seed_for(300),
-            engine=engine,
         )
     ]
     for index, rate in enumerate(rate for rate in active.training_rates_42 if rate is not None):
         training.append(
             run_memory_leak_trace(
-                active.config, workload, n=rate, seed=active.seed_for(301 + index), engine=engine
+                active.config, workload, n=rate, seed=active.seed_for(301 + index)
             )
         )
 
@@ -124,7 +121,6 @@ def run_experiment_43(
         full_release=False,
         seed=active.seed_for(350),
         max_seconds=24 * 3600.0,
-        engine=engine,
     )
     if not test_trace.crashed:
         raise RuntimeError(

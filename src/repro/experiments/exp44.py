@@ -75,13 +75,11 @@ class Experiment44Result:
 
 def run_experiment_44(
     scenarios: ExperimentScenarios | None = None,
-    engine: str = "event",
 ) -> Experiment44Result:
     """Regenerate Experiment 4.4 / Figure 5 and the root-cause inspection.
 
     Prefer the unified entry point ``repro.api.run("exp44", ...)``; this
-    function remains as the underlying driver.  ``engine`` selects the
-    simulation engine of every generated trace.
+    function remains as the underlying driver.
     """
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
     workload = active.workload_42
@@ -90,13 +88,13 @@ def run_experiment_44(
     for index, rate in enumerate(active.memory_rates_44):
         training.append(
             run_memory_leak_trace(
-                active.config, workload, n=rate, seed=active.seed_for(400 + index), engine=engine
+                active.config, workload, n=rate, seed=active.seed_for(400 + index)
             )
         )
     for index, (m, t) in enumerate(active.thread_rates_44):
         training.append(
             run_thread_leak_trace(
-                active.config, workload, m=m, t=t, seed=active.seed_for(410 + index), engine=engine
+                active.config, workload, m=m, t=t, seed=active.seed_for(410 + index)
             )
         )
 
@@ -105,7 +103,7 @@ def run_experiment_44(
         for index, (n, m, t) in enumerate(active.test_phases_44)
     ]
     test_trace = run_two_resource_trace(
-        active.config, workload, phases=phases, seed=active.seed_for(450), engine=engine
+        active.config, workload, phases=phases, seed=active.seed_for(450)
     )
     if not test_trace.crashed:
         raise RuntimeError("the two-resource run did not crash; increase the injection rates")

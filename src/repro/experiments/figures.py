@@ -84,13 +84,8 @@ class Figure2Series:
 
 def figure1_series(
     scenarios: ExperimentScenarios | None = None,
-    engine: str = "event",
 ) -> Figure1Series:
-    """Run the Figure 1 experiment: constant workload, constant-rate leak.
-
-    ``engine`` selects the simulation engine (``"event"``, the default, or
-    ``"per_second"``); both produce bit-for-bit identical seeded traces.
-    """
+    """Run the Figure 1 experiment: constant workload, constant-rate leak."""
     active = scenarios if scenarios is not None else ExperimentScenarios.paper_scale()
     simulation = TestbedSimulation(
         config=active.config,
@@ -98,7 +93,7 @@ def figure1_series(
         injectors=[MemoryLeakInjector(n=active.memory_n_41, seed=active.seed_for(500))],
         seed=active.seed_for(500),
     )
-    trace = simulation.run(max_seconds=12 * 3600.0, engine=engine)
+    trace = simulation.run(max_seconds=12 * 3600.0)
     if not trace.crashed:
         raise RuntimeError("the Figure 1 run did not crash; increase the leak rate")
     return Figure1Series(
@@ -113,13 +108,11 @@ def figure1_series(
 def figure2_series(
     scenarios: ExperimentScenarios | None = None,
     num_cycles: int = 5,
-    engine: str = "event",
 ) -> Figure2Series:
     """Run the Figure 2 experiment: benign periodic acquire/release pattern.
 
     The paper repeats the hourly pattern for five hours; ``num_cycles``
     controls how many normal/acquire/release cycles are simulated.
-    ``engine`` selects the simulation engine as in :func:`figure1_series`.
     """
     if num_cycles < 1:
         raise ValueError("num_cycles must be at least 1")
@@ -138,7 +131,7 @@ def figure2_series(
         seed=active.seed_for(510),
     )
     duration = 3 * active.phase_seconds_43 * num_cycles
-    trace = simulation.run(max_seconds=duration, engine=engine)
+    trace = simulation.run(max_seconds=duration)
     return Figure2Series(
         time_seconds=trace.times(),
         os_memory_mb=trace.series("tomcat_memory_used_mb"),

@@ -13,8 +13,9 @@ challenger on the live window and recovers the TTF forecast before the crash.
 Both monitors stream the *same* trace sample by sample, so the comparison
 isolates the lifecycle: same data, same alarm rules, only the model
 management differs.  Everything is seeded, so the drift marks, the gate
-verdicts and the final error figures reproduce byte-for-byte on both
-simulation engines.
+verdicts and the final error figures reproduce byte-for-byte, on the
+event-driven engine and on the test suite's per-second reference loop
+alike.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class LifecycleExperimentResult:
 
 
 def train_static_champion(
-    scenarios: ExperimentScenarios, engine: str = "event", model: str = "m5p"
+    scenarios: ExperimentScenarios, model: str = "m5p"
 ) -> AgingPredictor:
     """Fit the deployed model on memory-regime history only.
 
@@ -99,7 +100,6 @@ def train_static_champion(
             scenarios.workload_42,
             duration_seconds=scenarios.healthy_run_seconds,
             seed=scenarios.seed_for(300),
-            engine=engine,
         )
     ]
     rates = [rate for rate in scenarios.training_rates_42 if rate is not None]
@@ -111,13 +111,12 @@ def train_static_champion(
                 n=rate,
                 seed=scenarios.seed_for(301 + index),
                 max_seconds=scenarios.morph_max_seconds,
-                engine=engine,
             )
         )
     return AgingPredictor(model=model).fit(traces)
 
 
-def run_morphing_trace(scenarios: ExperimentScenarios, engine: str = "event") -> Trace:
+def run_morphing_trace(scenarios: ExperimentScenarios) -> Trace:
     """One run that opens as a memory leak and morphs into a thread leak."""
     trace = run_two_resource_trace(
         scenarios.config,
@@ -128,7 +127,6 @@ def run_morphing_trace(scenarios: ExperimentScenarios, engine: str = "event") ->
         ],
         seed=scenarios.seed_for(350),
         max_seconds=scenarios.morph_max_seconds,
-        engine=engine,
     )
     if not trace.crashed:
         raise RuntimeError(
@@ -140,7 +138,6 @@ def run_morphing_trace(scenarios: ExperimentScenarios, engine: str = "event") ->
 
 def run_lifecycle_experiment(
     scenarios: ExperimentScenarios | None = None,
-    engine: str = "event",
     config: LifecycleConfig | None = None,
     model: str = "m5p",
 ) -> LifecycleExperimentResult:
@@ -150,8 +147,8 @@ def run_lifecycle_experiment(
         active.config
     )
 
-    champion = train_static_champion(active, engine=engine, model=model)
-    trace = run_morphing_trace(active, engine=engine)
+    champion = train_static_champion(active, model=model)
+    trace = run_morphing_trace(active)
 
     static = OnlineAgingMonitor(champion)
     managed = ManagedOnlineMonitor(

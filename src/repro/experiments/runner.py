@@ -4,14 +4,8 @@ These functions wrap :class:`repro.testbed.engine.TestbedSimulation` with the
 concrete fault configurations the paper uses: constant-rate memory leaks
 (parameter ``N``), thread leaks (``M``, ``T``), the periodic acquire/release
 pattern, schedules of mid-run rate changes, and plain no-injection runs.
-Every helper is deterministic given its seed.
-
-Each helper accepts an ``engine`` flag forwarded to
-:meth:`TestbedSimulation.run`: ``"event"`` (the default) rides the shared
-event-driven scheduler, ``"per_second"`` runs the retained tick-everything
-reference.  Both produce bit-for-bit identical seeded traces, so the flag
-only matters for wall-clock (training-set generation is the dominant cost
-of the cluster experiments).
+Every helper is deterministic given its seed and runs on the event-driven
+scheduler behind :meth:`TestbedSimulation.run`.
 """
 
 from __future__ import annotations
@@ -43,11 +37,10 @@ def run_no_injection_trace(
     workload_ebs: int,
     duration_seconds: float = 3600.0,
     seed: int = 0,
-    engine: str = "event",
 ) -> Trace:
     """A healthy run with no fault injection (the paper's one-hour baseline)."""
     simulation = TestbedSimulation(config=config, workload_ebs=workload_ebs, seed=seed)
-    return simulation.run(max_seconds=duration_seconds, engine=engine)
+    return simulation.run(max_seconds=duration_seconds)
 
 
 def run_memory_leak_trace(
@@ -57,7 +50,6 @@ def run_memory_leak_trace(
     leak_mb: float = 1.0,
     seed: int = 0,
     max_seconds: float = _DEFAULT_MAX_SECONDS,
-    engine: str = "event",
 ) -> Trace:
     """A run with the constant-rate, workload-coupled memory leak (Exp. 4.1)."""
     simulation = TestbedSimulation(
@@ -66,7 +58,7 @@ def run_memory_leak_trace(
         injectors=[MemoryLeakInjector(n=n, leak_mb=leak_mb, seed=seed)],
         seed=seed,
     )
-    return simulation.run(max_seconds=max_seconds, engine=engine)
+    return simulation.run(max_seconds=max_seconds)
 
 
 def run_thread_leak_trace(
@@ -76,7 +68,6 @@ def run_thread_leak_trace(
     t: int,
     seed: int = 0,
     max_seconds: float = _DEFAULT_MAX_SECONDS,
-    engine: str = "event",
 ) -> Trace:
     """A run with the workload-independent thread leak (Exp. 4.4 training)."""
     simulation = TestbedSimulation(
@@ -85,7 +76,7 @@ def run_thread_leak_trace(
         injectors=[ThreadLeakInjector(m=m, t=t, seed=seed)],
         seed=seed,
     )
-    return simulation.run(max_seconds=max_seconds, engine=engine)
+    return simulation.run(max_seconds=max_seconds)
 
 
 def run_dynamic_memory_trace(
@@ -95,7 +86,6 @@ def run_dynamic_memory_trace(
     leak_mb: float = 1.0,
     seed: int = 0,
     max_seconds: float = _DEFAULT_MAX_SECONDS,
-    engine: str = "event",
 ) -> Trace:
     """A run whose memory-leak rate changes mid-run (Experiment 4.2).
 
@@ -120,7 +110,7 @@ def run_dynamic_memory_trace(
         schedule=schedule,
         seed=seed,
     )
-    return simulation.run(max_seconds=max_seconds, engine=engine)
+    return simulation.run(max_seconds=max_seconds)
 
 
 def run_periodic_pattern_trace(
@@ -132,7 +122,6 @@ def run_periodic_pattern_trace(
     full_release: bool = False,
     seed: int = 0,
     max_seconds: float = _DEFAULT_MAX_SECONDS,
-    engine: str = "event",
 ) -> Trace:
     """A run with the periodic acquire/release pattern (Figure 2 / Exp. 4.3)."""
     injector = PeriodicPatternInjector(
@@ -148,7 +137,7 @@ def run_periodic_pattern_trace(
         injectors=[injector],
         seed=seed,
     )
-    return simulation.run(max_seconds=max_seconds, engine=engine)
+    return simulation.run(max_seconds=max_seconds)
 
 
 def run_two_resource_trace(
@@ -158,7 +147,6 @@ def run_two_resource_trace(
     leak_mb: float = 1.0,
     seed: int = 0,
     max_seconds: float = _DEFAULT_MAX_SECONDS,
-    engine: str = "event",
 ) -> Trace:
     """A run where memory and thread leaks are injected simultaneously (Exp. 4.4).
 
@@ -198,4 +186,4 @@ def run_two_resource_trace(
         schedule=schedule,
         seed=seed,
     )
-    return simulation.run(max_seconds=max_seconds, engine=engine)
+    return simulation.run(max_seconds=max_seconds)

@@ -8,7 +8,8 @@ monitor, watches the live forecast-consistency error
 pseudo-labelled windows of the live trace
 (:mod:`repro.lifecycle.training`), promoting one only when it beats the
 champion on a held-out gate.  Deterministic end to end: seeded runs drift,
-retrain and promote byte-identically on both simulation engines.
+retrain and promote byte-identically, and the test suite pins the same
+results on its per-second reference loop.
 """
 
 from repro.lifecycle.drift import (

@@ -1,7 +1,7 @@
 """Fleet-as-a-service: a long-lived simulation server over the cluster tiers.
 
-The service owns one cluster engine (``event``, ``per_second`` or ``fluid``)
-and keeps it *alive*: a stepper thread advances the fleet in fixed tick
+The service owns one cluster engine (the exact ``event`` tier or the
+approximate ``fluid`` tier) and keeps it *alive*: a stepper thread advances the fleet in fixed tick
 chunks (as fast as possible, or paced against the wall clock) while a
 stdlib ``ThreadingHTTPServer`` answers status queries, streams telemetry and
 accepts live scenario mutations -- load spikes and troughs, operator node

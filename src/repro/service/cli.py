@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 
+from repro.experiments.cluster import FLEET_ENGINES
 from repro.service.server import serve_session
 from repro.service.session import (
     SCENARIO_PRESETS,
@@ -66,9 +67,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("event", "per_second", "fluid"),
+        choices=FLEET_ENGINES,
         default="event",
-        help="cluster engine tier (default: event)",
+        help="cluster engine tier: exact event-driven or approximate fluid (default: event)",
     )
     parser.add_argument(
         "--interval",

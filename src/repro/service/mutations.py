@@ -7,10 +7,12 @@ rejuvenation.  Each applied command is stamped with the boundary tick and a
 per-session sequence number and appended to the session's command log --
 the unit of replay.
 
-The same vocabulary covers every engine tier because the tiers share the
-``mutate_*`` surface (``ClusterEngine``, ``PerSecondClusterEngine`` and
-``FluidClusterEngine`` all implement it with boundary-identical semantics);
-:func:`apply_mutation` is nothing but a validated dispatch onto it.
+The same vocabulary covers both engine tiers because they share the
+``mutate_*`` surface (``ClusterEngine`` and ``FluidClusterEngine`` implement
+it with boundary-identical semantics, as does the test suite's per-second
+reference loop); :func:`apply_mutation` is nothing but a validated dispatch
+onto it.  Parsing keeps its own checks, which turn HTTP input into
+:class:`MutationError` before any engine sees it.
 """
 
 from __future__ import annotations

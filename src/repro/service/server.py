@@ -86,8 +86,17 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body cannot be framed: answer, then close the connection
+            # rather than parse its bytes as the next request.
+            self.close_connection = True
+            raise MutationError(f"Content-Length must be a non-negative integer, not {raw_length!r}")
+        if length == 0:
             raise MutationError("request body must be a JSON object")
         if length > _MAX_BODY_BYTES:
             raise MutationError("request body too large")

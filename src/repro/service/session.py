@@ -31,7 +31,7 @@ from repro.cluster.coordinator import (
     UncoordinatedTimeBasedRejuvenation,
 )
 from repro.cluster.routing import AgingAwareRouting
-from repro.experiments.cluster import build_cluster_engine, train_cluster_predictor
+from repro.experiments.cluster import FLEET_ENGINES, build_cluster_engine, train_cluster_predictor
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
 from repro.service.mutations import MutationCommand, MutationRefused, apply_mutation, parse_mutation
 from repro.telemetry import Telemetry, write_sidecar, write_sidecar_text
@@ -89,8 +89,8 @@ def build_service_manifest(
         raise ValueError(f"kind must be one of {CLUSTER_SCENARIO_KINDS}, not {kind!r}")
     if policy not in SERVICE_POLICIES:
         raise ValueError(f"policy must be one of {SERVICE_POLICIES}, not {policy!r}")
-    if fleet_engine not in ("event", "per_second", "fluid"):
-        raise ValueError(f"unknown fleet engine {fleet_engine!r}")
+    if fleet_engine not in FLEET_ENGINES:
+        raise ValueError(f"fleet_engine must be one of {FLEET_ENGINES}, not {fleet_engine!r}")
     if policy == "time_based" and interval_seconds is None:
         raise ValueError("the time_based policy needs interval_seconds")
     overrides: dict = {}

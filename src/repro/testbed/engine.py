@@ -12,27 +12,24 @@ as :class:`ScheduledAction` objects: a time plus a callable that receives the
 simulation.  The event-driven engine turns those times into first-class wake
 events, so fast-forwards never skip over a pending action.
 
-Two engines share this class, mirroring the cluster's dual-engine pattern:
+:meth:`TestbedSimulation.run` is event-driven: it delegates to the shared
+scheduler of :mod:`repro.testbed.events`, which advances the run from
+interesting event to interesting event (browser request arrivals,
+monitoring marks, injector firings, scheduled actions) and fast-forwards the
+gaps in exact batches.  Its traces are golden-tested bit for bit against the
+original tick-everything loop, which the test suite keeps as its reference.
 
-* :meth:`TestbedSimulation.run` is **event-driven by default**: it delegates
-  to the shared scheduler of :mod:`repro.testbed.events`, which advances the
-  run from interesting event to interesting event (browser request arrivals,
-  monitoring marks, injector firings, scheduled actions) and fast-forwards
-  the gaps in exact batches;
-* :meth:`TestbedSimulation.run_per_second` is the retained tick-everything
-  reference -- the original loop, kept as the executable semantics the event
-  engine is tested against bit-for-bit (``run(engine="per_second")`` reaches
-  it too).
-
-Besides the self-driven run loops, the simulation exposes a step-wise API
-(:meth:`~TestbedSimulation.begin`, :meth:`~TestbedSimulation.begin_tick`,
-:meth:`~TestbedSimulation.serve`,
+Besides the self-driven run, the simulation exposes a step-wise API
+(:meth:`~TestbedSimulation.begin`, :meth:`~TestbedSimulation.serve`,
 :meth:`~TestbedSimulation.drive_injectors`,
 :meth:`~TestbedSimulation.end_tick`,
 :meth:`~TestbedSimulation.record_crash`) so an external driver -- the
 clustered deployment of :mod:`repro.cluster` -- can advance many nodes on a
 shared clock and route requests from a fleet-level load balancer instead of
-the node's own workload generator.
+the node's own workload generator.  :meth:`~TestbedSimulation.begin_tick`
+is the per-tick primitive of the reference loop: it advances the clock one
+tick and prepares every component, which the event scheduler does in
+batches instead.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from repro.testbed.osmodel.system import OperatingSystem
 from repro.testbed.tpcw.interactions import Interaction
 from repro.testbed.tpcw.workload import WorkloadGenerator, WorkloadMix
 from repro.telemetry import runtime as telemetry_runtime
-from repro.telemetry.hub import ENGINE
 
 __all__ = ["ScheduledAction", "TestbedSimulation"]
 
@@ -154,62 +150,17 @@ class TestbedSimulation:
 
     # ------------------------------------------------------------------- run
 
-    def run(self, max_seconds: float = 4 * 3600.0, engine: str = "event") -> Trace:
+    def run(self, max_seconds: float = 4 * 3600.0) -> Trace:
         """Run until the server crashes or ``max_seconds`` elapse.
 
         Returns the trace of monitoring samples; the trace's ``crashed`` flag
         and ``crash_time_seconds`` record how the run ended.  A simulation
-        object is single-use: call :meth:`run` once.
-
-        ``engine`` selects the loop: ``"event"`` (the default) rides the
-        shared event-driven scheduler of :mod:`repro.testbed.events`;
-        ``"per_second"`` runs the retained tick-everything reference.  Both
-        produce bit-for-bit identical seeded traces.
+        object is single-use: call :meth:`run` once.  The run rides the
+        shared event-driven scheduler of :mod:`repro.testbed.events`.
         """
-        if engine == "event":
-            from repro.testbed.events import run_event_driven
+        from repro.testbed.events import run_event_driven
 
-            return run_event_driven(self, max_seconds)
-        if engine == "per_second":
-            return self.run_per_second(max_seconds)
-        raise ValueError(f"unknown engine {engine!r}; use 'event' or 'per_second'")
-
-    def run_per_second(self, max_seconds: float = 4 * 3600.0) -> Trace:
-        """The tick-everything reference loop (the original engine).
-
-        Advances every emulated browser every simulated second.  Kept as the
-        executable semantics the event-driven engine is golden-tested
-        against, and as a fallback for injectors that violate the
-        ``tick_event_horizon`` contract.
-        """
-        if max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
-        trace = self.begin()
-        while self.clock.now < max_seconds and not trace.crashed:
-            now = self.begin_tick()
-            try:
-                requests_this_tick = self._run_one_tick(now)
-            except ServerCrash as crash:
-                self.record_crash(now, crash)
-                break
-            self.end_tick(now, requests_this_tick)
-        if self.telemetry is not None:
-            self.telemetry.count("per_second.ticks", self.clock.ticks, channel=ENGINE)
-            self._telemetry_finish()
-        return trace
-
-    def _run_one_tick(self, now: float) -> int:
-        """Advance workload, serve requests and drive injectors for one tick.
-
-        Returns the number of requests served this tick (used by the OS model
-        for request-driven disk growth).
-        """
-        issued = self.workload.tick(self.config.tick_seconds)
-        for browser, interaction in issued:
-            outcome = self.serve(interaction)
-            browser.start_request(outcome.response_time_s)
-        self.drive_injectors(now)
-        return len(issued)
+        return run_event_driven(self, max_seconds)
 
     # --------------------------------------------------- step-wise (cluster)
 
@@ -229,8 +180,8 @@ class TestbedSimulation:
         """Mark the simulation as started and return its (live) trace.
 
         External drivers call this once, then advance the simulation with
-        :meth:`begin_tick` / :meth:`serve` / :meth:`drive_injectors` /
-        :meth:`end_tick`; :meth:`run` uses the same primitives internally.
+        :meth:`serve` / :meth:`drive_injectors` / :meth:`end_tick` and the
+        tick primitives; :meth:`run` starts its scheduler with it too.
         """
         if self._finished:
             raise RuntimeError("this simulation has already been run; create a new one")
@@ -395,7 +346,7 @@ class TestbedSimulation:
     def _telemetry_finish(self) -> None:
         """Flush end-of-run totals (requests, GC) to the sim channel, once.
 
-        Called by both run loops and -- for cluster incarnations -- by the
+        Called at the end of a run and -- for cluster incarnations -- by the
         node when an incarnation ends or the fleet run completes.
         """
         telemetry = self.telemetry
@@ -437,8 +388,8 @@ class TestbedSimulation:
         """Time of the next unapplied scheduled action (``None`` when done).
 
         The event-driven scheduler turns this into a wake event, so mid-run
-        changes apply on exactly the tick the per-second reference would
-        apply them.
+        changes apply on exactly the tick a tick-by-tick loop would apply
+        them.
         """
         if self._next_scheduled >= len(self._schedule):
             return None

@@ -470,10 +470,11 @@ def _prep_interactions(sim: "TestbedSimulation"):
 def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
     """Run ``sim`` to crash or ``max_seconds`` on the event-driven scheduler.
 
-    Bit-for-bit identical to ``TestbedSimulation.run_per_second`` on every
+    Bit-for-bit identical to the tick-everything reference loop on every
     seeded scenario: same monitoring samples, same crash time, same GC event
     log, same component state (the golden tests in
-    ``tests/testbed/test_event_engine_golden.py`` pin all of it).
+    ``tests/testbed/test_event_engine_golden.py`` pin all of it against the
+    loop kept in ``tests/testbed/oracle.py``).
     """
     if max_seconds <= 0:
         raise ValueError("max_seconds must be positive")

@@ -147,7 +147,7 @@ def leak_rates_from_injectors(
         else:
             raise ValueError(
                 f"fluid tier has no closed form for injector {type(injector).__name__}; "
-                "use engine='event' or 'per_second' for custom fault models"
+                "use the exact engine='event' for custom fault models"
             )
     return FluidLeakRates(
         leaked_mb_per_request=leaked_per_request,

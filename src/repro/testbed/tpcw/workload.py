@@ -140,9 +140,11 @@ class WorkloadGenerator:
         """Advance all browsers and return the requests issued this tick.
 
         Each entry pairs the browser with the interaction it wants; the
-        engine is responsible for submitting the request to the application
+        caller is responsible for submitting the request to the application
         server and telling the browser the response time via
-        :meth:`EmulatedBrowser.start_request`.
+        :meth:`EmulatedBrowser.start_request`.  This is the per-tick
+        primitive of the tick-everything reference loops the test suite
+        keeps; the event-driven engines schedule browsers on a heap instead.
         """
         issued: list[tuple[EmulatedBrowser, Interaction]] = []
         for browser in self._browsers:

@@ -43,7 +43,7 @@ class TestRegistryCompleteness:
     def test_all_specs_lead_with_common_params(self):
         for name in api.list_experiments():
             spec = api.get_spec(name)
-            assert [param.name for param in spec.params[:3]] == ["scale", "seed", "engine"], name
+            assert [param.name for param in spec.params[:2]] == ["scale", "seed"], name
 
     def test_expected_names_present(self):
         names = set(api.list_experiments())
@@ -107,7 +107,8 @@ class TestSpecResolution:
             spec.resolve({"bogus": 1})
 
     def test_spec_must_lead_with_common_triple(self):
-        with pytest.raises(ValueError, match="must lead with"):
+        """Specs must lead with the common scale/seed pair."""
+        with pytest.raises(ValueError, match="must lead with scale/seed"):
             ExperimentSpec(
                 name="x",
                 description="d",
@@ -124,7 +125,15 @@ class TestSpecResolution:
             assert f"--{param.name}" in text
 
     def test_common_params_are_scale_seed_engine(self):
-        assert [p.name for p in common_params(0)] == ["scale", "seed", "engine"]
+        """scale and seed are common; engine belongs to the cluster spec alone."""
+        assert [p.name for p in common_params(0)] == ["scale", "seed"]
+        with_engine = [
+            name
+            for name in api.list_experiments()
+            if "engine" in {param.name for param in api.get_spec(name).params}
+        ]
+        assert with_engine == ["cluster"]
+        assert [p.name for p in api.get_spec("cluster").params[:3]] == ["scale", "seed", "engine"]
 
     def test_cluster_seed_semantics_are_documented(self):
         """The cluster seed drives the fleet run; training seeds stay fixed."""
@@ -137,18 +146,19 @@ class TestClusterEngineTiers:
 
     def test_cluster_engine_choices_include_fluid(self):
         from repro.api.spec import CLUSTER_ENGINES
+        from repro.experiments.cluster import FLEET_ENGINES
 
         engine_param = api.get_spec("cluster").param("engine")
-        assert engine_param.choices == CLUSTER_ENGINES
-        assert "fluid" in engine_param.choices
+        assert engine_param.choices == CLUSTER_ENGINES == FLEET_ENGINES == ("event", "fluid")
+        assert engine_param.default == "event"
 
     def test_fluid_is_cluster_only(self):
         for name in api.list_experiments():
             if name == "cluster":
                 continue
-            engine_param = api.get_spec(name).param("engine")
-            assert "fluid" not in engine_param.choices, name
-        with pytest.raises(ValueError, match="must be one of"):
+            with pytest.raises(KeyError):
+                api.get_spec(name).param("engine")
+        with pytest.raises(ValueError, match="unknown parameter"):
             api.get_spec("exp41").resolve({"engine": "fluid"})
 
     def test_horizon_is_a_first_class_parameter(self):

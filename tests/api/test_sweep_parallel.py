@@ -55,7 +55,7 @@ class TestExpansion:
         labels = [(p.params["scale"], p.params["seed"]) for p in points]
         # Spec order: scale is the outer axis, seed the inner one.
         assert labels == [("small", 1), ("small", 2), ("paper", 1), ("paper", 2)]
-        assert all(p.params["engine"] == "event" for p in points)
+        assert all("engine" not in p.params for p in points)
 
     def test_expansion_is_deterministic(self):
         axes = {"seed": "5..8"}
@@ -139,7 +139,7 @@ class TestParallelParity:
 
 
 def _register_stub(name: str, fail: bool) -> None:
-    def runner(scale: str, seed: int, engine: str):
+    def runner(scale: str, seed: int):
         if fail:
             raise RuntimeError(f"{name} exploded")
         return {"ok": True}, {}

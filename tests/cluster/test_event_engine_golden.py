@@ -2,7 +2,7 @@
 
 The event-driven ``ClusterEngine`` promises *bit-for-bit* identical seeded
 ``ClusterOutcome`` aggregates to the tick-everything
-``PerSecondClusterEngine`` it replaced as the default.  These tests pin that
+``PerSecondClusterEngine`` it replaced, kept in ``tests/cluster/oracle.py``.  These tests pin that
 promise across every scenario kind, every routing policy, both lifecycle
 paths (crash recovery and planned drain/restart) and heterogeneous fleets --
 the guard rail that lets the batched fast-forward machinery evolve safely.
@@ -19,9 +19,10 @@ from repro.cluster.coordinator import (
     RollingPredictiveRejuvenation,
     UncoordinatedTimeBasedRejuvenation,
 )
-from repro.cluster.engine import ClusterEngine, PerSecondClusterEngine
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.routing import AgingAwareRouting, LeastConnectionsRouting
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
+from tests.cluster.oracle import PerSecondClusterEngine
 
 
 def assert_samples_identical(reference_engine, event_engine):

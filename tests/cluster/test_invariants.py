@@ -38,6 +38,7 @@ from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.monitoring.collector import MetricsCollector
+from tests.testbed.oracle import per_second_engine
 
 
 class RoutingAuditor(RoundRobinRouting):
@@ -255,7 +256,7 @@ class TestStreamDiscipline:
     def test_engine_tier_switch_never_perturbs_exact_streams(self):
         """Running the per-second reference in between leaves the
         event-driven engine's streams untouched (and vice versa)."""
-        from repro.cluster.engine import PerSecondClusterEngine
+        from tests.cluster.oracle import PerSecondClusterEngine
 
         before = self._exact_outcome()
         scenario = ClusterScenario.fast()
@@ -327,8 +328,9 @@ class ConservationCollector(MetricsCollector):
 
 @pytest.mark.parametrize("engine", ["event", "per_second"])
 @pytest.mark.parametrize("inject", [False, True])
-def test_single_server_request_conservation(engine, inject):
-    """Both single-server engines conserve requests at every mark."""
+def test_single_server_request_conservation(engine, inject, per_second_engine):
+    """The single-server engine and its per-second reference conserve
+    requests at every mark."""
     config = TestbedConfig(
         heap_max_mb=160.0,
         young_capacity_mb=16.0,
@@ -342,7 +344,11 @@ def test_single_server_request_conservation(engine, inject):
     simulation = TestbedSimulation(config=config, workload_ebs=40, injectors=injectors, seed=77)
     auditor = ConservationCollector(config.monitoring_interval_s, simulation)
     simulation.collector = auditor
-    trace = simulation.run(max_seconds=2400.0, engine=engine)
+    if engine == "per_second":
+        with per_second_engine():
+            trace = simulation.run(max_seconds=2400.0)
+    else:
+        trace = simulation.run(max_seconds=2400.0)
     assert auditor.marks_audited == len(trace.samples)
     assert auditor.marks_audited >= 10
     assert trace.crashed == inject

@@ -9,6 +9,8 @@ the plain shared-predictor run.  Any divergence means the lifecycle wrapper
 leaks into the prediction path.
 """
 
+import pytest
+
 from repro.cluster.coordinator import RollingPredictiveRejuvenation
 from repro.cluster.routing import AgingAwareRouting
 from repro.experiments.cluster import lifecycle_monitor_factory, run_cluster_policy
@@ -27,17 +29,17 @@ def rolling_outcome(scenario, predictor, lifecycle: bool):
     )
 
 
+@pytest.fixture(scope="module")
+def managed(fast_scenario, fitted_predictor):
+    """The lifecycle-managed rolling fleet, run once for both checks."""
+    return rolling_outcome(fast_scenario, fitted_predictor, lifecycle=True)
+
+
 class TestStationaryFleetNoRegression:
-    def test_lifecycle_fleet_equals_plain_predictive_fleet(
-        self, fast_scenario, fitted_predictor, experiment_result
-    ):
-        managed = rolling_outcome(fast_scenario, fitted_predictor, lifecycle=True)
+    def test_lifecycle_fleet_equals_plain_predictive_fleet(self, managed, experiment_result):
         assert managed == experiment_result.rolling_predictive
 
-    def test_managed_fleet_still_beats_the_baselines(
-        self, fast_scenario, fitted_predictor, experiment_result
-    ):
-        managed = rolling_outcome(fast_scenario, fitted_predictor, lifecycle=True)
+    def test_managed_fleet_still_beats_the_baselines(self, managed, experiment_result):
         assert managed.availability > experiment_result.no_rejuvenation.availability
         assert managed.availability > experiment_result.time_based.availability
         assert managed.full_outage_seconds == 0.0

@@ -11,16 +11,22 @@ from repro.cluster.routing import (
     RoundRobinRouting,
     RoutingEpoch,
 )
+from tests.cluster.oracle import ReferenceAgingAwareRouting, route
 
 
 class StubNode:
-    """Duck-typed node: exactly the attributes the routing layer reads."""
+    """Duck-typed node: exactly the attributes the routing layer reads.
+
+    Like a real ``ClusterNode`` it carries a ``forecast_version`` counter;
+    a test that changes a forecast bumps it, as every node transition does.
+    """
 
     def __init__(self, node_id, predicted_ttf_seconds=None, open_connections=0, accepting=True):
         self.node_id = node_id
         self.predicted_ttf_seconds = predicted_ttf_seconds
         self.open_connections = open_connections
         self.accepting = accepting
+        self.forecast_version = 0
 
 
 def fleet(overrides=None):
@@ -97,11 +103,7 @@ class TestAgingAware:
 
 
 class VersionedStubNode(StubNode):
-    """Stub exposing the forecast_version counter real ClusterNodes carry."""
-
-    def __init__(self, node_id, predicted_ttf_seconds=None):
-        super().__init__(node_id, predicted_ttf_seconds)
-        self.forecast_version = 0
+    """Stub whose forecast changes always bump its version counter."""
 
     def set_forecast(self, predicted_ttf_seconds):
         self.predicted_ttf_seconds = predicted_ttf_seconds
@@ -123,8 +125,8 @@ class TestAgingAwareWeightCache:
         return decisions
 
     def test_cached_decisions_match_uncached_bit_for_bit(self):
-        cached = self._decision_stream(AgingAwareRouting(cache_weights=True))
-        uncached = self._decision_stream(AgingAwareRouting(cache_weights=False))
+        cached = self._decision_stream(AgingAwareRouting())
+        uncached = self._decision_stream(ReferenceAgingAwareRouting())
         assert cached == uncached
 
     def test_version_bump_invalidates_the_cache(self):
@@ -144,15 +146,6 @@ class TestAgingAwareWeightCache:
         survivors = nodes[:2]  # fresh candidate list object, like the engine builds
         assert {policy.route(survivors).node_id for _ in range(10)} == {0, 1}
 
-    def test_nodes_without_version_counter_bypass_the_cache(self):
-        policy = AgingAwareRouting(ttf_comfort_seconds=900.0, shed_floor=0.1)
-        nodes = fleet()  # plain stubs: no forecast_version attribute
-        for _ in range(10):
-            policy.route(nodes)
-        nodes[1].predicted_ttf_seconds = 9.0  # mutated without any signal
-        counts = Counter(policy.route(nodes).node_id for _ in range(210))
-        assert counts[1] == pytest.approx(210 * 0.1 / 2.1, abs=2)
-
 
 class EpochStubNode(VersionedStubNode):
     """Epoch-wired stub: bumps the fleet-shared RoutingEpoch like real nodes."""
@@ -167,13 +160,14 @@ class EpochStubNode(VersionedStubNode):
 
 
 class TestAgingAwareCycleReplay:
-    """The Brent cycle replay must be invisible in the decision stream.
+    """Regime switches must be invisible in the decision stream.
 
-    Within a regime (stable membership and forecasts) smooth WRR is
-    periodic for dyadic weight vectors; the policy detects the period and
-    replays recorded winners.  Every test here pins that the replay --
-    entering it, leaving it mid-cycle, and giving up on it -- is
-    bit-for-bit equal to the ``cache_weights=False`` reference scan.
+    Within a regime (stable membership and forecasts) the policy scans a
+    dense credit array against frozen weights; at every change it writes
+    the credits back and starts the next regime from them.  Every test here
+    pins that entering, leaving and rebinding regimes -- short or long,
+    periodic or not -- is bit-for-bit equal to the per-request reference
+    scan of ``tests/cluster/oracle.py``.
     """
 
     # Forecasts are dyadic fractions of the 900 s comfort window, so the
@@ -198,36 +192,36 @@ class TestAgingAwareCycleReplay:
         fast_nodes, _ = self._epoch_fleet()
         slow_nodes, _ = self._epoch_fleet()
         fast = self._drive(AgingAwareRouting(), fast_nodes, self.DYADIC_SCHEDULE, 1000)
-        slow = self._drive(
-            AgingAwareRouting(cache_weights=False), slow_nodes, self.DYADIC_SCHEDULE, 1000
-        )
+        slow = self._drive(ReferenceAgingAwareRouting(), slow_nodes, self.DYADIC_SCHEDULE, 1000)
         assert fast == slow
 
-    def test_dyadic_weights_actually_reach_replay(self):
-        nodes, _ = self._epoch_fleet(width=4)
-        nodes[0].set_forecast(450.0)  # weights (0.5, 1, 1, 1): period 7
-        policy = AgingAwareRouting()
-        for _ in range(50):
-            policy.route(nodes)
-        assert policy._cycle_len == 7
-        assert policy._regime_list is nodes  # the epoch fast path is armed
+    def test_long_dyadic_regimes_match_reference(self):
+        # Regimes of thousands of requests: each one runs through many
+        # periods of its smooth-WRR cycle before the next forecast change.
+        schedule = {0: (0, 450.0), 2500: (2, 225.0), 5100: (0, None), 7700: (3, 450.0)}
+        fast_nodes, _ = self._epoch_fleet(width=4)
+        slow_nodes, _ = self._epoch_fleet(width=4)
+        fast = self._drive(AgingAwareRouting(), fast_nodes, schedule, 10_000)
+        slow = self._drive(ReferenceAgingAwareRouting(), slow_nodes, schedule, 10_000)
+        assert fast == slow
+        assert len(set(fast)) == 4
 
     def test_regime_exit_mid_replay_reconstructs_credits(self):
-        # A forecast change lands while the policy is replaying a detected
-        # cycle at an arbitrary phase; the regime credits must be written
-        # back exactly for the next regime to stay aligned with reference.
+        # A forecast change lands at an arbitrary phase of a periodic
+        # regime; the regime credits must be written back exactly for the
+        # next regime to stay aligned with reference.
         schedule = {0: (0, 450.0), 137: (2, 225.0), 138: (0, None), 291: (2, None)}
         fast_nodes, _ = self._epoch_fleet(width=4)
         slow_nodes, _ = self._epoch_fleet(width=4)
         fast = self._drive(AgingAwareRouting(), fast_nodes, schedule, 600)
-        slow = self._drive(AgingAwareRouting(cache_weights=False), slow_nodes, schedule, 600)
+        slow = self._drive(ReferenceAgingAwareRouting(), slow_nodes, schedule, 600)
         assert fast == slow
 
     def test_epoch_bump_outside_the_regime_rebinds_cheaply(self):
         nodes, _ = self._epoch_fleet(width=7)
         candidates = nodes[:6]  # node 6 crashed: it is no longer routed to
         policy = AgingAwareRouting()
-        reference = AgingAwareRouting(cache_weights=False)
+        reference = ReferenceAgingAwareRouting()
         decisions = [policy.route(candidates).node_id for _ in range(30)]
         nodes[6].set_forecast(10.0)  # bumps the shared epoch from outside
         decisions += [policy.route(candidates).node_id for _ in range(30)]
@@ -235,7 +229,9 @@ class TestAgingAwareCycleReplay:
         assert decisions == expected
         assert policy._regime_list is candidates  # rebound, not rebuilt
 
-    def test_record_cap_falls_back_to_plain_scan(self):
+    def test_messy_long_regime_matches_reference(self):
+        # Non-dyadic weights whose credit state may never recur exactly,
+        # over one regime longer than 2,048 requests.
         fast_nodes, _ = self._epoch_fleet(width=5)
         slow_nodes, _ = self._epoch_fleet(width=5)
         for fleet in (fast_nodes, slow_nodes):
@@ -243,13 +239,11 @@ class TestAgingAwareCycleReplay:
                 if ttf is not None:
                     node.set_forecast(ttf)
         policy = AgingAwareRouting()
-        policy.RECORD_CAP = 8  # force the give-up branch on these messy weights
-        fast = [policy.route(fast_nodes).node_id for _ in range(500)]
-        reference = AgingAwareRouting(cache_weights=False)
-        slow = [reference.route(slow_nodes).node_id for _ in range(500)]
+        fast = [policy.route(fast_nodes).node_id for _ in range(5000)]
+        reference = ReferenceAgingAwareRouting()
+        slow = [reference.route(slow_nodes).node_id for _ in range(5000)]
         assert fast == slow
-        assert policy._cycle_len is None
-        assert policy._snap_credits is None  # recording abandoned, plain scan kept
+        assert policy._regime_list is fast_nodes  # one regime, on the epoch fast path
 
 
 class TestLoadBalancerAllocations:
@@ -277,10 +271,10 @@ class TestLoadBalancerAllocations:
         balancer = LoadBalancer(RoundRobinRouting())
         nodes = fleet({0: {"accepting": False}, 1: {"accepting": False}, 2: {"accepting": False}})
         assert balancer.allocations(nodes, total_ebs=50) == {0: 0, 1: 0, 2: 0}
-        assert balancer.route(nodes) is None
+        assert route(balancer, nodes) is None
 
     def test_route_skips_non_accepting(self):
         balancer = LoadBalancer(RoundRobinRouting())
         nodes = fleet({0: {"accepting": False}})
-        picks = {balancer.route(nodes).node_id for _ in range(10)}
+        picks = {route(balancer, nodes).node_id for _ in range(10)}
         assert picks == {1, 2}

@@ -1,9 +1,10 @@
 """Golden parity: ``run(horizon)`` == any ``step`` chunking + ``finish``.
 
 The fleet service exists because the engines learned to pause at tick
-boundaries; these tests pin the refactor's core guarantee for every tier
-and scenario kind -- the incremental surface is *bit-for-bit* the batch
-path, outcome and telemetry digest alike.  If this breaks, every recorded
+boundaries; these tests pin the refactor's core guarantee for both tiers,
+the per-second reference loop and every scenario kind -- the incremental
+surface is *bit-for-bit* the batch path, outcome and telemetry digest
+alike.  If this breaks, every recorded
 session replay (and every historical batch result) silently changes.
 """
 
@@ -15,10 +16,10 @@ from repro.cluster.coordinator import (
     UncoordinatedTimeBasedRejuvenation,
 )
 from repro.cluster.routing import AgingAwareRouting
-from repro.experiments.cluster import build_cluster_engine
 from repro.experiments.scenarios import ClusterScenario
 from repro.telemetry import Telemetry, activate
 from repro.testbed.timeline import first_tick_at_or_after
+from tests.cluster.oracle import build_cluster_engine
 
 HORIZON_SECONDS = 3600.0
 

@@ -2,11 +2,14 @@
 
 Traces are generated once per test session from a scaled-down testbed so the
 feature, dataset and predictor tests all work on realistic (but quickly
-produced) aging runs.
+produced) aging runs.  The full-catalogue M5P predictor fitted on them takes
+seconds to build, so it is fitted once too and shared by every test that only
+reads a fitted predictor.
 """
 
 import pytest
 
+from repro.core.predictor import AgingPredictor
 from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
@@ -64,3 +67,13 @@ def thread_leak_trace():
         seed=11,
     )
     return simulation.run(max_seconds=14_400)
+
+
+@pytest.fixture(scope="session")
+def m5p_predictor(training_traces):
+    """``AgingPredictor(model="m5p")`` fitted on ``training_traces``.
+
+    Shared and read-only: a test that needs to fit, refit or mutate a
+    predictor builds its own.
+    """
+    return AgingPredictor(model="m5p").fit(training_traces)

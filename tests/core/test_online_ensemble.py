@@ -9,75 +9,81 @@ from repro.core.predictor import AgingPredictor
 
 
 @pytest.fixture(scope="module")
-def fitted_predictor(training_traces):
-    return AgingPredictor(model="m5p").fit(training_traces)
+def fitted_members(m5p_predictor, training_traces):
+    """M5P, linear and tree members already fitted on the training traces.
+
+    A board is fitted when its members are, so the tests that read a board
+    share these; ``test_board_trains_all_members`` covers ``board.fit``.
+    """
+    others = [AgingPredictor(model=model).fit(training_traces) for model in ("linear", "tree")]
+    return [m5p_predictor, *others]
 
 
 class TestOnlineAgingMonitor:
-    def test_streaming_matches_batch_prediction_at_the_end(self, fitted_predictor, test_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor, alarm_threshold_seconds=300.0)
+    def test_streaming_matches_batch_prediction_at_the_end(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=300.0)
         predictions = monitor.replay(test_trace)
         assert len(predictions) == len(test_trace)
-        batch = fitted_predictor.predict_trace(test_trace)
+        batch = m5p_predictor.predict_trace(test_trace)
         # The last streamed prediction sees exactly the same history as the
         # last batch row, so the two must agree.
         assert predictions[-1].predicted_ttf_seconds == pytest.approx(batch[-1], rel=1e-6)
 
-    def test_alarm_fires_before_crash_for_aging_run(self, fitted_predictor, test_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor, alarm_threshold_seconds=600.0, alarm_consecutive=2)
+    def test_alarm_fires_before_crash_for_aging_run(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=600.0, alarm_consecutive=2)
         monitor.replay(test_trace)
         assert monitor.alarm_raised
         assert monitor.alarm_time is not None
         assert monitor.alarm_time < test_trace.crash_time_seconds
 
-    def test_no_alarm_for_healthy_run(self, fitted_predictor, healthy_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor, alarm_threshold_seconds=120.0, alarm_consecutive=3)
+    def test_no_alarm_for_healthy_run(self, m5p_predictor, healthy_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=120.0, alarm_consecutive=3)
         monitor.replay(healthy_trace)
         assert not monitor.alarm_raised
 
-    def test_consecutive_requirement_filters_single_blips(self, fitted_predictor, test_trace):
-        strict = OnlineAgingMonitor(fitted_predictor, alarm_threshold_seconds=600.0, alarm_consecutive=50)
+    def test_consecutive_requirement_filters_single_blips(self, m5p_predictor, test_trace):
+        strict = OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=600.0, alarm_consecutive=50)
         strict.replay(test_trace)
-        lenient = OnlineAgingMonitor(fitted_predictor, alarm_threshold_seconds=600.0, alarm_consecutive=1)
+        lenient = OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=600.0, alarm_consecutive=1)
         lenient.replay(test_trace)
         if strict.alarm_raised:
             assert lenient.alarm_time <= strict.alarm_time
         else:
             assert lenient.alarm_raised
 
-    def test_out_of_order_samples_rejected(self, fitted_predictor, test_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor)
+    def test_out_of_order_samples_rejected(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor)
         monitor.observe(test_trace.samples[5])
         with pytest.raises(ValueError):
             monitor.observe(test_trace.samples[3])
 
-    def test_reset_clears_state(self, fitted_predictor, test_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor)
+    def test_reset_clears_state(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor)
         monitor.observe(test_trace.samples[0])
         monitor.reset()
         assert monitor.num_samples == 0
         assert monitor.predictions == []
 
-    def test_predicted_series_shape(self, fitted_predictor, test_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor)
+    def test_predicted_series_shape(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor)
         for sample in test_trace.samples[:10]:
             monitor.observe(sample)
         assert monitor.predicted_series().shape == (10,)
 
-    def test_prediction_exposes_crash_time_estimate(self, fitted_predictor, test_trace):
-        monitor = OnlineAgingMonitor(fitted_predictor)
+    def test_prediction_exposes_crash_time_estimate(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor)
         prediction = monitor.observe(test_trace.samples[0])
         assert prediction.predicted_crash_time == pytest.approx(
             prediction.time_seconds + prediction.predicted_ttf_seconds
         )
 
-    def test_validation(self, fitted_predictor):
+    def test_validation(self, m5p_predictor):
         with pytest.raises(ValueError):
             OnlineAgingMonitor(AgingPredictor())
         with pytest.raises(ValueError):
-            OnlineAgingMonitor(fitted_predictor, alarm_threshold_seconds=0.0)
+            OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=0.0)
         with pytest.raises(ValueError):
-            OnlineAgingMonitor(fitted_predictor, alarm_consecutive=0)
+            OnlineAgingMonitor(m5p_predictor, alarm_consecutive=0)
 
 
 class TestPredictionBoard:
@@ -86,34 +92,29 @@ class TestPredictionBoard:
         board.fit(training_traces)
         assert board.is_fitted
 
-    def test_consensus_prediction_shape(self, training_traces, test_trace):
-        board = PredictionBoard(
-            [AgingPredictor(model="m5p"), AgingPredictor(model="linear"), AgingPredictor(model="tree")]
-        ).fit(training_traces)
+    def test_consensus_prediction_shape(self, fitted_members, test_trace):
+        board = PredictionBoard(fitted_members)
         consensus = board.predict_trace(test_trace)
         assert consensus.shape == (len(test_trace),)
         members = board.member_predictions(test_trace)
         assert members.shape == (3, len(test_trace))
 
-    def test_median_consensus_bounded_by_members(self, training_traces, test_trace):
-        board = PredictionBoard(
-            [AgingPredictor(model="m5p"), AgingPredictor(model="linear"), AgingPredictor(model="tree")]
-        ).fit(training_traces)
+    def test_median_consensus_bounded_by_members(self, fitted_members, test_trace):
+        board = PredictionBoard(fitted_members)
         members = board.member_predictions(test_trace)
         consensus = board.predict_trace(test_trace)
         assert np.all(consensus >= members.min(axis=0) - 1e-9)
         assert np.all(consensus <= members.max(axis=0) + 1e-9)
 
-    def test_mean_consensus_differs_from_median(self, training_traces, test_trace):
-        members = [AgingPredictor(model="m5p"), AgingPredictor(model="linear"), AgingPredictor(model="tree")]
-        median_board = PredictionBoard(members, consensus="median").fit(training_traces)
-        mean_board = PredictionBoard(members, consensus="mean")
-        # Members are shared and already fitted, so the mean board is fitted too.
-        assert mean_board.is_fitted
+    def test_mean_consensus_differs_from_median(self, fitted_members, test_trace):
+        median_board = PredictionBoard(fitted_members, consensus="median")
+        mean_board = PredictionBoard(fitted_members, consensus="mean")
+        # Members are shared and already fitted, so both boards are fitted.
+        assert median_board.is_fitted and mean_board.is_fitted
         assert not np.allclose(median_board.predict_trace(test_trace), mean_board.predict_trace(test_trace))
 
-    def test_board_evaluation(self, training_traces, test_trace):
-        board = PredictionBoard([AgingPredictor(model="m5p"), AgingPredictor(model="linear")]).fit(training_traces)
+    def test_board_evaluation(self, fitted_members, test_trace):
+        board = PredictionBoard(fitted_members[:2])
         consensus_eval = board.evaluate_trace(test_trace)
         member_evals = board.evaluate_members(test_trace)
         assert len(member_evals) == 2

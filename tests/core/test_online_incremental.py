@@ -52,8 +52,11 @@ class TestFeatureStreamParity:
 
 class TestOnlineMonitorParity:
     @pytest.mark.parametrize("model", ["m5p", "linear", "tree"])
-    def test_streaming_matches_batch_replay(self, model, training_traces, test_trace):
-        predictor = AgingPredictor(model=model).fit(training_traces)
+    def test_streaming_matches_batch_replay(self, model, m5p_predictor, training_traces, test_trace):
+        if model == "m5p":
+            predictor = m5p_predictor
+        else:
+            predictor = AgingPredictor(model=model).fit(training_traces)
         batch = predictor.predict_trace(test_trace)
         assert np.array_equal(streamed_predictions(predictor, test_trace), batch)
 
@@ -65,10 +68,9 @@ class TestOnlineMonitorParity:
         batch = predictor.predict_trace(test_trace)
         assert np.array_equal(streamed_predictions(predictor, test_trace), batch)
 
-    def test_streaming_matches_batch_on_healthy_run(self, training_traces, healthy_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        batch = predictor.predict_trace(healthy_trace)
-        assert np.array_equal(streamed_predictions(predictor, healthy_trace), batch)
+    def test_streaming_matches_batch_on_healthy_run(self, m5p_predictor, healthy_trace):
+        batch = m5p_predictor.predict_trace(healthy_trace)
+        assert np.array_equal(streamed_predictions(m5p_predictor, healthy_trace), batch)
 
 
 class TestBoundedMemory:
@@ -81,18 +83,16 @@ class TestBoundedMemory:
         assert len(monitor.recent_samples) <= predictor.window + 1
         assert monitor.recent_samples[-1] is list(test_trace)[-1]
 
-    def test_reset_replays_identically(self, training_traces, test_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        monitor = OnlineAgingMonitor(predictor)
+    def test_reset_replays_identically(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor)
         first = [monitor.observe(sample).predicted_ttf_seconds for sample in test_trace]
         monitor.reset()
         assert monitor.num_samples == 0
         second = [monitor.observe(sample).predicted_ttf_seconds for sample in test_trace]
         assert first == second
 
-    def test_rejects_time_going_backwards(self, training_traces, test_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        monitor = OnlineAgingMonitor(predictor)
+    def test_rejects_time_going_backwards(self, m5p_predictor, test_trace):
+        monitor = OnlineAgingMonitor(m5p_predictor)
         samples = list(test_trace)
         monitor.observe(samples[1])
         with pytest.raises(ValueError, match="increasing time order"):

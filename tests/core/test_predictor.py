@@ -18,29 +18,26 @@ from repro.ml.m5p import M5PModelTree
 
 
 class TestAgingPredictorTraining:
-    def test_fit_and_predict_shapes(self, training_traces, test_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        predictions = predictor.predict_trace(test_trace)
+    def test_fit_and_predict_shapes(self, m5p_predictor, test_trace):
+        predictions = m5p_predictor.predict_trace(test_trace)
         assert predictions.shape == (len(test_trace),)
         assert np.all(np.isfinite(predictions))
 
-    def test_training_instance_count_matches_traces(self, training_traces):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        assert predictor.num_training_instances == sum(len(trace) for trace in training_traces)
+    def test_training_instance_count_matches_traces(self, m5p_predictor, training_traces):
+        assert m5p_predictor.num_training_instances == sum(len(trace) for trace in training_traces)
 
-    def test_model_size_reported_for_trees(self, training_traces):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        assert predictor.num_leaves >= 1
-        assert predictor.num_inner_nodes == predictor.num_leaves - 1
+    def test_model_size_reported_for_trees(self, m5p_predictor):
+        assert m5p_predictor.num_leaves >= 1
+        assert m5p_predictor.num_inner_nodes == m5p_predictor.num_leaves - 1
 
     def test_linear_model_has_no_tree_size(self, training_traces):
         predictor = AgingPredictor(model="linear").fit(training_traces)
         assert predictor.num_leaves is None
         assert predictor.num_inner_nodes is None
 
-    def test_all_three_model_families_fit(self, training_traces, test_trace):
-        for model in ("m5p", "linear", "tree"):
-            predictor = AgingPredictor(model=model).fit(training_traces)
+    def test_all_three_model_families_fit(self, m5p_predictor, training_traces, test_trace):
+        others = [AgingPredictor(model=model).fit(training_traces) for model in ("linear", "tree")]
+        for predictor in [m5p_predictor, *others]:
             evaluation = predictor.evaluate_trace(test_trace)
             assert evaluation.mae_seconds >= 0.0
 
@@ -64,23 +61,20 @@ class TestAgingPredictorTraining:
 
 
 class TestAgingPredictorQuality:
-    def test_predictions_clipped_to_valid_range(self, training_traces, test_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        predictions = predictor.predict_trace(test_trace)
+    def test_predictions_clipped_to_valid_range(self, m5p_predictor, test_trace):
+        predictions = m5p_predictor.predict_trace(test_trace)
         assert predictions.min() >= 0.0
-        assert predictions.max() <= predictor.infinite_ttf
+        assert predictions.max() <= m5p_predictor.infinite_ttf
 
-    def test_m5p_accuracy_is_reasonable_near_the_crash(self, training_traces, test_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        evaluation = predictor.evaluate_trace(test_trace)
+    def test_m5p_accuracy_is_reasonable_near_the_crash(self, m5p_predictor, test_trace):
+        evaluation = m5p_predictor.evaluate_trace(test_trace)
         # Near the crash the paper reports errors of a few minutes; on the
         # scaled-down testbed we only require the POST error to stay within
         # ten minutes to keep the test robust to simulator tweaks.
         assert evaluation.post_mae_seconds < 600.0
 
-    def test_post_mae_smaller_than_pre_mae_for_m5p(self, training_traces, test_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        evaluation = predictor.evaluate_trace(test_trace)
+    def test_post_mae_smaller_than_pre_mae_for_m5p(self, m5p_predictor, test_trace):
+        evaluation = m5p_predictor.evaluate_trace(test_trace)
         assert evaluation.post_mae_seconds < evaluation.pre_mae_seconds
 
     def test_evaluation_requires_crashed_trace(self, training_traces, healthy_trace):
@@ -88,16 +82,16 @@ class TestAgingPredictorQuality:
         with pytest.raises(ValueError):
             predictor.evaluate_trace(healthy_trace)
 
-    def test_healthy_trace_predicted_far_from_failure(self, training_traces, healthy_trace):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
+    def test_healthy_trace_predicted_far_from_failure(
+        self, m5p_predictor, training_traces, healthy_trace
+    ):
         # Skip the first window marks where speeds are still settling.
-        predictions = predictor.predict_trace(healthy_trace)[12:]
-        crashed_predictions = predictor.predict_trace(training_traces[0])[-10:]
+        predictions = m5p_predictor.predict_trace(healthy_trace)[12:]
+        crashed_predictions = m5p_predictor.predict_trace(training_traces[0])[-10:]
         assert np.median(predictions) > np.median(crashed_predictions)
 
-    def test_describe_model_mentions_features(self, training_traces):
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        assert "LM (" in predictor.describe_model()
+    def test_describe_model_mentions_features(self, m5p_predictor):
+        assert "LM (" in m5p_predictor.describe_model()
 
 
 class TestFeatureSubsets:
@@ -163,10 +157,15 @@ def _non_heap_features():
     return [name for name in catalog.feature_names if name not in heap_names]
 
 
+@pytest.fixture(scope="module")
+def non_heap_m5p(training_traces):
+    """M5P on the Experiment 4.1 variable set, shared by the read-only tests."""
+    return AgingPredictor(model="m5p", feature_names=_non_heap_features()).fit(training_traces)
+
+
 class TestRootCause:
-    def test_memory_leak_model_implicates_memory(self, training_traces):
-        predictor = AgingPredictor(model="m5p", feature_names=_non_heap_features()).fit(training_traces)
-        report = analyse_root_cause(predictor.model)
+    def test_memory_leak_model_implicates_memory(self, non_heap_m5p):
+        report = analyse_root_cause(non_heap_m5p.model)
         assert report.primary_resource in ("memory", "heap", "system")
         assert report.variables, "a fitted tree should test at least one variable"
         # The variable tested at the root of the tree must appear in the report.
@@ -180,18 +179,16 @@ class TestRootCause:
         resource_names = [name for name, _score in report.resources]
         assert "threads" in resource_names or "memory" in resource_names
 
-    def test_single_leaf_tree_reports_no_clue(self, training_traces):
+    def test_single_leaf_tree_reports_no_clue(self, m5p_predictor):
         # With the heap variables included the relationship is almost linear,
         # so pruning can collapse the whole tree; the report must stay usable.
-        predictor = AgingPredictor(model="m5p").fit(training_traces)
-        report = analyse_root_cause(predictor.model)
+        report = analyse_root_cause(m5p_predictor.model)
         if not report.variables:
             assert report.primary_resource == "unknown"
             assert "no root-cause clue" in report.summary()
 
-    def test_summary_is_informative(self, training_traces):
-        predictor = AgingPredictor(model="m5p", feature_names=_non_heap_features()).fit(training_traces)
-        summary = analyse_root_cause(predictor.model).summary()
+    def test_summary_is_informative(self, non_heap_m5p):
+        summary = analyse_root_cause(non_heap_m5p.model).summary()
         assert "implicated resources" in summary
 
     def test_requires_fitted_model(self):

@@ -38,4 +38,4 @@ def morph_trace(fast_scenarios):
 
 @pytest.fixture(scope="session")
 def lifecycle_result(fast_scenarios):
-    return run_lifecycle_experiment(fast_scenarios, engine="event")
+    return run_lifecycle_experiment(fast_scenarios)

@@ -6,17 +6,19 @@ margins: the scenario is fully seeded, so any change to these figures is a
 behaviour change, not noise.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.core.predictor import AgingPredictor
 from repro.experiments.lifecycle import run_lifecycle_experiment
 from repro.lifecycle import LifecycleConfig, ManagedOnlineMonitor
+from tests.testbed.oracle import per_second_engine
 
 
 def fresh_manager(static_champion, lifecycle_config, **kwargs) -> ManagedOnlineMonitor:
-    champion = AgingPredictor(model="m5p").fit_dataset(static_champion.training_dataset)
-    return ManagedOnlineMonitor(champion, lifecycle_config, **kwargs)
+    """A manager deploying its own copy of the champion: no two share a model."""
+    return ManagedOnlineMonitor(copy.deepcopy(static_champion), lifecycle_config, **kwargs)
 
 
 class TestMorphingScenario:
@@ -40,9 +42,13 @@ class TestMorphingScenario:
         assert lifecycle_result.promotion_times
         assert min(lifecycle_result.promotion_times) > min(lifecycle_result.drift_times)
 
-    def test_byte_identical_across_repeats_and_engines(self, fast_scenarios, lifecycle_result):
-        for engine in ("event", "per_second"):
-            again = run_lifecycle_experiment(fast_scenarios, engine=engine)
+    def test_byte_identical_across_repeats_and_engines(
+        self, fast_scenarios, lifecycle_result, per_second_engine
+    ):
+        repeat = run_lifecycle_experiment(fast_scenarios)
+        with per_second_engine():
+            reference = run_lifecycle_experiment(fast_scenarios)
+        for again in (repeat, reference):
             assert np.array_equal(
                 again.managed_predictions, lifecycle_result.managed_predictions
             )

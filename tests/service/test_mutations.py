@@ -2,17 +2,18 @@
 
 The service's replay guarantee rests on two engine-level facts pinned here:
 a tick-stamped command log fully determines the outcome whatever step
-chunking delivered it, and the two exact tiers agree bit-for-bit (outcome
-and sim-channel digest) on the *same* mutated run.
+chunking delivered it, and the exact tier agrees bit-for-bit (outcome and
+sim-channel digest) with the per-second reference loop of
+``tests/cluster/oracle.py`` on the *same* mutated run.
 """
 
 import pytest
 
 from repro.cluster.coordinator import NoClusterRejuvenation
-from repro.experiments.cluster import build_cluster_engine
 from repro.experiments.scenarios import ClusterScenario
 from repro.service.mutations import MutationError, apply_mutation, parse_mutation
 from repro.telemetry import Telemetry, activate
+from tests.cluster.oracle import build_cluster_engine
 
 HORIZON_TICKS = 3600
 
@@ -67,7 +68,7 @@ def test_command_log_outcome_is_chunking_invariant(fleet_engine):
 
 
 def test_exact_tiers_agree_on_mutated_runs():
-    """Event and per-second engines: same mutated run, same bytes, same digest."""
+    """Event engine and per-second reference: same mutated run, same bytes, same digest."""
     event_json, event_digest = _run_with_commands("event", _boundary_schedules()[1])
     ps_json, ps_digest = _run_with_commands("per_second", _boundary_schedules()[0])
     assert event_json == ps_json

@@ -6,6 +6,7 @@ the same wire a curl walkthrough or the dashboard uses.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -67,6 +68,28 @@ def test_status_endpoints(live_server):
     assert "coordinator" in schedule
     availability = _get(server, "/availability")
     assert availability["num_nodes"] == 3
+    assert _get(server, "/commands") == []
+
+
+@pytest.mark.parametrize("length", ["abc", "12abc"])
+def test_malformed_content_length_gets_400(live_server, length):
+    """A Content-Length that does not parse is a 400, not a dropped connection."""
+    server, _ = live_server
+    host, port = server.server_address[:2]
+    body = b'{"kind":"load","total_ebs":90}'
+    request = (
+        f"POST /mutations HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode() + body
+    response = b""
+    with socket.create_connection((host, port), timeout=10) as connection:
+        connection.sendall(request)
+        # The body cannot be framed, so the server answers and then closes.
+        while chunk := connection.recv(4096):
+            response += chunk
+    head, _, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400"), response
+    assert "Content-Length" in json.loads(payload)["error"]
     assert _get(server, "/commands") == []
 
 

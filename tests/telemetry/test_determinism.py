@@ -3,10 +3,11 @@
 Three claims, each the trace-level extension of an existing bit-for-bit
 guarantee of the repo:
 
-1. *Engine invariance*: the event-driven and per-second engines record
-   byte-identical ``sim``-channel lines — equal digests — for the same
-   seeded run, single-server and cluster alike (extends the golden parity
-   suites).
+1. *Engine invariance*: the event-driven engines and the per-second
+   reference loops of ``tests/testbed/oracle.py`` and
+   ``tests/cluster/oracle.py`` record byte-identical ``sim``-channel lines —
+   equal digests — for the same seeded run, single-server and cluster alike
+   (extends the golden parity suites).
 2. *Repeat invariance*: the same spec and seed produce a byte-identical
    sidecar, full stop (extends envelope byte-stability).
 3. *Observer transparency*: running under telemetry changes nothing about
@@ -20,7 +21,7 @@ import pytest
 
 from repro import api
 from repro.cluster.coordinator import RollingPredictiveRejuvenation
-from repro.cluster.engine import ClusterEngine, PerSecondClusterEngine
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.routing import AgingAwareRouting
 from repro.experiments.scenarios import ClusterScenario
 from repro.telemetry import SIM, Telemetry, activate, trace_digest, trace_text
@@ -28,6 +29,8 @@ from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.events import run_event_driven
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
+from tests.cluster.oracle import PerSecondClusterEngine
+from tests.testbed.oracle import per_second_engine, run_per_second
 
 
 def fast_config() -> TestbedConfig:
@@ -55,7 +58,7 @@ def run_single_server(engine: str) -> tuple[object, Telemetry]:
         if engine == "event":
             trace = run_event_driven(simulation, 7200.0)
         else:
-            trace = simulation.run_per_second(7200.0)
+            trace = run_per_second(simulation, 7200.0)
     return trace, telemetry
 
 
@@ -132,9 +135,10 @@ class TestObserverTransparency:
             "params": {k: v for k, v in traced.params.items() if k != "engine"},
         }
 
-    def test_run_digest_is_engine_invariant(self):
-        digests = {
-            api.run("figure1", scale="small", seed=9, engine=engine, telemetry=Telemetry()).telemetry_digest
-            for engine in ("event", "per_second")
-        }
-        assert len(digests) == 1
+    def test_run_digest_is_engine_invariant(self, per_second_engine):
+        """figure1 through ``api.run``: the per-second loop gives the same digest."""
+        event = api.run("figure1", scale="small", seed=9, telemetry=Telemetry())
+        with per_second_engine():
+            reference = api.run("figure1", scale="small", seed=9, telemetry=Telemetry())
+        assert reference.telemetry_digest == event.telemetry_digest
+        assert reference.to_json() == event.to_json()

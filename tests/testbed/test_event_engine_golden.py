@@ -1,8 +1,8 @@
 """Golden-trace regression: single-server event engine == per-second engine.
 
-``TestbedSimulation.run`` is event-driven by default and promises
-*bit-for-bit* identical seeded runs to the retained per-second reference
-(``run_per_second`` / ``run(engine="per_second")``).  These tests pin that
+``TestbedSimulation.run`` is event-driven and promises *bit-for-bit*
+identical seeded runs to the per-second reference loop
+(:func:`tests.testbed.oracle.run_per_second`).  These tests pin that
 promise across every scenario kind the experiments use -- memory leak,
 thread leak, periodic pattern, dynamic schedule, no injection -- plus the
 hard scheduling cases: fast-forwarding over a pending mid-run action, a
@@ -27,12 +27,13 @@ from repro.testbed.engine import ScheduledAction, TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.periodic import PeriodicPatternInjector
 from repro.testbed.faults.thread_leak import ThreadLeakInjector
+from tests.testbed.oracle import run_per_second
 
 
 def run_both(make_simulation, max_seconds):
     """Run the same seeded scenario through both engines and compare exactly."""
     reference = make_simulation()
-    reference_trace = reference.run(max_seconds=max_seconds, engine="per_second")
+    reference_trace = run_per_second(reference, max_seconds=max_seconds)
     event = make_simulation()
     event_trace = event.run(max_seconds=max_seconds)
 
@@ -227,8 +228,9 @@ class TestGoldenSchedulingEdges:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, fast_config):
+        """``run`` has no engine choice left: any engine argument is an error."""
         simulation = TestbedSimulation(config=fast_config, workload_ebs=5, seed=1)
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             simulation.run(max_seconds=60, engine="warp")
 
     def test_event_engine_is_single_use(self, fast_config):
@@ -239,9 +241,9 @@ class TestEngineSelection:
 
     def test_per_second_reference_is_single_use(self, fast_config):
         simulation = TestbedSimulation(config=fast_config, workload_ebs=5, seed=2)
-        simulation.run_per_second(max_seconds=60)
+        run_per_second(simulation, max_seconds=60)
         with pytest.raises(RuntimeError):
-            simulation.run_per_second(max_seconds=60)
+            run_per_second(simulation, max_seconds=60)
 
     def test_event_engine_rejects_nonpositive_horizon(self, fast_config):
         simulation = TestbedSimulation(config=fast_config, workload_ebs=5, seed=3)
