@@ -21,16 +21,19 @@ the reproduction to that setting:
     rejuvenation (drain, restart, rejoin, bounded concurrency, minimum
     capacity floor).
 ``repro.cluster.engine``
-    The exact engine that wires all of it together and redistributes the
-    workload on every crash, drain and rejoin: the event-driven
-    ``ClusterEngine`` advances the fleet between interesting events and
-    reproduces the tick-everything reference loop of the test suite
-    bit-for-bit on seeded runs.
+    ``FleetEngine``, the front end both tiers share (``run``/``step``/
+    ``finish``, the ``mutate_*`` commands, ``fleet_snapshot``, the outcome
+    and the end-of-run telemetry), and the exact tier on it that wires all
+    of the above together and redistributes the workload on every crash,
+    drain and rejoin: the event-driven ``ClusterEngine`` advances the fleet
+    between interesting events and reproduces the tick-everything reference
+    loop of the test suite bit-for-bit on seeded runs.
 ``repro.cluster.fluid``
-    The approximate second tier: ``FluidClusterEngine`` settles the whole
-    fleet as numpy arrays (mean-field browsers, mask-based lifecycle) for
-    million-user / thousand-node scenarios, validated against the exact
-    engine on overlapping scales.
+    The approximate second tier on the same front end:
+    ``FluidClusterEngine`` settles the whole fleet as numpy arrays
+    (mean-field browsers, mask-based lifecycle) for million-user /
+    thousand-node scenarios, validated against the exact engine on
+    overlapping scales.
 ``repro.cluster.status``
     Capacity-weighted availability, outage and degraded-capacity
     accounting, per node and for the whole fleet.

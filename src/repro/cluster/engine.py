@@ -1,18 +1,27 @@
-"""The clustered deployment engine: N testbed nodes behind one load balancer.
+"""The clustered deployment engines: N testbed nodes behind one load balancer.
 
-``ClusterEngine`` is *event-driven*.  Instead of paying a Python loop over
-every browser and every node each simulated second, it advances the fleet
-from interesting event to interesting event: browser request arrivals
-(scheduled on a heap from each browser's think time), monitoring marks,
-injector firings, lifecycle transitions (drain expiry, restart completion)
-and the uptime crossings a time-based coordinator announces.  Nodes
-untouched between events are fast-forwarded in exact batches, so a 100-node
-fleet no longer costs 100x per-second work.  Seeded runs produce
-bit-for-bit the :class:`ClusterOutcome` aggregates, monitoring samples and
-sim-channel telemetry of the original tick-everything loop, which the test
-suite keeps as its reference (``tests/cluster/oracle.py``); the per-tick
-node primitives that loop drives (``ClusterNode.advance_tick`` /
-``end_tick``) stay on the node for it.
+Every engine tier is a :class:`FleetEngine`.  The base class is the one
+front end of a fleet: the shared constructor checks, the single-use
+``run`` and the incremental ``step``/``finish`` contract with its guards,
+the four boundary mutations (``mutate_*``), the ``fleet_snapshot`` read, the
+end-of-run telemetry and ``describe``.  A tier supplies only its tick
+advance, its per-node reads and one small apply hook per mutation kind, so
+the exact tier below and the numpy tier of :mod:`repro.cluster.fluid`
+differ only in how a tick advances.
+
+``ClusterEngine`` is the exact tier, and it is *event-driven*.  Instead of
+paying a Python loop over every browser and every node each simulated
+second, it advances the fleet from interesting event to interesting event:
+browser request arrivals (scheduled on a heap from each browser's think
+time), monitoring marks, injector firings, lifecycle transitions (drain
+expiry, restart completion) and the uptime crossings a time-based
+coordinator announces.  Nodes untouched between events are fast-forwarded in
+exact batches, so a 100-node fleet no longer costs 100x per-second work.
+Seeded runs produce bit-for-bit the :class:`ClusterOutcome` aggregates,
+monitoring samples and sim-channel telemetry of the original
+tick-everything loop, which the test suite keeps as its reference
+(``tests/cluster/oracle.py``); the per-tick node primitives that loop drives
+(``ClusterNode.advance_tick`` / ``end_tick``) stay on the node for it.
 
 The bit-for-bit guarantee holds for the shipped tick size (1 second) and,
 more generally, whenever per-tick float accumulation equals its batched
@@ -40,15 +49,18 @@ seconds are charged to the status aggregator.
 
 from __future__ import annotations
 
+import abc
+import functools
 import heapq
+import math
 import random
 from typing import Sequence
 
 from repro.cluster.balancer import LoadBalancer
 from repro.cluster.coordinator import ClusterRejuvenationCoordinator, NoClusterRejuvenation
-from repro.cluster.node import ClusterNode, InjectorFactory, MonitorFactory
+from repro.cluster.node import ClusterNode, InjectorFactory, MonitorFactory, NodeState
 from repro.cluster.routing import RoutingEpoch, RoutingPolicy
-from repro.cluster.status import ClusterOutcome, FleetStatus
+from repro.cluster.status import ClusterOutcome, FleetStatus, NodeOutcome
 from repro.core.predictor import AgingPredictor
 from repro.testbed.events import next_fire_tick
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
@@ -59,9 +71,9 @@ from repro.testbed.config import TestbedConfig
 from repro.testbed.errors import ServerCrash
 from repro.testbed.tpcw.workload import WorkloadGenerator, WorkloadMix
 from repro.telemetry import runtime as telemetry_runtime
-from repro.telemetry.hub import ENGINE as _ENGINE_CHANNEL
+from repro.telemetry.hub import ENGINE as _ENGINE_CHANNEL, Telemetry
 
-__all__ = ["ClusterEngine", "apply_injector_overrides", "leak_rate_overrides"]
+__all__ = ["ClusterEngine", "FleetEngine", "apply_injector_overrides", "leak_rate_overrides"]
 
 #: Seed stride between the nodes of one cluster.
 _NODE_SEED_STRIDE = 104729
@@ -122,8 +134,21 @@ def apply_injector_overrides(injectors, overrides: dict) -> None:
                 injector.set_rate(m, overrides.get("thread_t"))
 
 
-class ClusterEngine:
-    """One runnable clustered deployment of ``num_nodes`` testbed servers.
+def _overridden_injectors(factory: InjectorFactory, overrides: dict, seed: int) -> list:
+    """``factory(seed)``'s injectors with leak-rate ``overrides`` applied."""
+    injectors = list(factory(seed))
+    apply_injector_overrides(injectors, overrides)
+    return injectors
+
+
+class FleetEngine(abc.ABC):
+    """One runnable fleet of ``num_nodes`` servers; see the module docstring.
+
+    The front end every engine tier shares.  A tier implements the abstract
+    hooks below: its own constructor checks and state (``_build``), its tick
+    advance, three per-node reads and one apply hook per mutation kind, each
+    called only after the front end has validated the call.  ``_start``,
+    ``_settle`` and ``_tier_telemetry`` are optional.
 
     Parameters
     ----------
@@ -170,6 +195,14 @@ class ClusterEngine:
         deterministic seeds from it.
     """
 
+    #: Extra ``run_begin`` data of a tier whose streams are tier-specific.
+    _run_tags: dict = {}
+    #: Widest fleet that still gets per-node end-of-run gauges.
+    _per_node_gauge_cap: float = math.inf
+    #: Requests rerouted to a surviving node after a mid-request crash (only
+    #: a tier that routes request by request has any).
+    requests_rerouted = 0
+
     def __init__(
         self,
         num_nodes: int = 3,
@@ -204,69 +237,60 @@ class ClusterEngine:
             for node_config in node_configs:
                 if node_config.tick_seconds != self.config.tick_seconds:
                     raise ValueError("every node must share the cluster's tick_seconds")
+        self.num_nodes = num_nodes
         self.node_configs = node_configs
         self.total_ebs = total_ebs
         self.seed = seed
+        self.mix = mix
+        self.predictor = predictor
+        self.monitor_factory = monitor_factory
+        self.alarm_threshold_seconds = float(alarm_threshold_seconds)
+        self.alarm_consecutive = int(alarm_consecutive)
+        self.drain_seconds = float(drain_seconds)
+        self.rejuvenation_downtime_seconds = float(rejuvenation_downtime_seconds)
+        self.crash_downtime_seconds = float(crash_downtime_seconds)
         self.dropped_request_penalty_s = float(dropped_request_penalty_s)
-
-        factory: InjectorFactory = injector_factory if injector_factory is not None else (lambda _seed: [])
-        self.clock = SimulationClock(self.config.tick_seconds)
-        self.telemetry = telemetry_runtime.active()
-        #: Fleet-shared forecast epoch: every node bumps it in lockstep with
-        #: its own ``forecast_version``, giving the aging-aware routing
-        #: policy an O(1) "has anything changed?" check per request.
-        self.routing_epoch = RoutingEpoch()
-        self.workload = WorkloadGenerator(
-            num_browsers=total_ebs,
-            mean_think_time_s=self.config.mean_think_time_s,
-            mix=mix,
-            seed=random.Random(seed).randrange(2**31),
+        self._injector_factory: InjectorFactory = (
+            injector_factory if injector_factory is not None else (lambda _seed: [])
         )
+        #: Each node's cumulative leak-rate overrides (mutate_leak_rates).
+        self._injector_overrides: list[dict] = [{} for _ in range(num_nodes)]
         self.balancer = LoadBalancer(routing_policy)
         self.coordinator = coordinator if coordinator is not None else NoClusterRejuvenation()
-        self.nodes: list[ClusterNode] = [
-            ClusterNode(
-                node_id=node_id,
-                config=node_configs[node_id] if node_configs is not None else self.config,
-                injector_factory=factory,
-                seed=seed + _NODE_SEED_STRIDE * (node_id + 1),
-                predictor=predictor,
-                monitor_factory=monitor_factory,
-                alarm_threshold_seconds=alarm_threshold_seconds,
-                alarm_consecutive=alarm_consecutive,
-                drain_seconds=drain_seconds,
-                rejuvenation_downtime_seconds=rejuvenation_downtime_seconds,
-                crash_downtime_seconds=crash_downtime_seconds,
-                routing_epoch=self.routing_epoch,
-                fleet_clock=self.clock,
-            )
-            for node_id in range(num_nodes)
-        ]
         self.status = FleetStatus(num_nodes)
+        self.telemetry = telemetry_runtime.active()
+        self._finished = False
+        self._started = False
+        #: Boundary tick of the incremental surface: every tick at or before
+        #: it is fully processed, nothing after it has begun.
+        self._current_tick = 0
+        self._build()
         if self.telemetry is not None:
             self.coordinator.telemetry = self.telemetry
             self.telemetry.event(
                 "run_begin",
                 0,
                 run="fleet",
-                data={"nodes": num_nodes, "total_ebs": total_ebs, "seed": seed},
+                data={"nodes": num_nodes, "total_ebs": total_ebs, "seed": seed, **self._run_tags},
             )
-        #: Requests rerouted to a surviving node after a mid-request crash.
-        self.requests_rerouted = 0
-        self._finished = False
-        self._started = False
-        #: Boundary tick of the incremental surface: every tick at or before
-        #: it is fully processed, nothing after it has begun.
-        self._current_tick = 0
-        #: Cumulative per-node injector overrides (mutate_leak_rates); keyed
-        #: by node id, applied to every future incarnation's fresh injectors.
-        self._injector_overrides: dict[int, dict] = {}
 
-        # Event-driven scheduler state (populated on the first step()).
-        self._events: list[tuple[int, int, int]] = []
-        self._browser_fires: list[tuple[int, int, int]] = []
-        self._active_count = num_nodes
-        self._candidates: list[ClusterNode] | None = None
+    @abc.abstractmethod
+    def _build(self) -> None:
+        """Check what only this tier rejects and build its fleet state."""
+
+    def _node_seed(self, node_id: int) -> int:
+        """Base seed of node ``node_id``, derived from the master seed."""
+        return self.seed + _NODE_SEED_STRIDE * (node_id + 1)
+
+    def _node_injector_factory(self, node_id: int) -> InjectorFactory:
+        """The injector factory of ``node_id``: the fleet's, plus the node's overrides.
+
+        It holds no reference to the engine, so a finished engine is freed as
+        soon as it is dropped rather than at the next cyclic collection.
+        """
+        return functools.partial(
+            _overridden_injectors, self._injector_factory, self._injector_overrides[node_id]
+        )
 
     # ------------------------------------------------------------------- run
 
@@ -280,15 +304,12 @@ class ClusterEngine:
         by :meth:`finish` (the golden parity tests pin the decomposition as
         bit-for-bit neutral).
         """
-        self._check_batch_use(max_seconds)
-        self.step(first_tick_at_or_after(max_seconds, self.config.tick_seconds))
-        return self.finish()
-
-    def _check_batch_use(self, max_seconds: float) -> None:
         if max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
         if self._started or self._finished:
             raise RuntimeError("this cluster engine has already been run; create a new one")
+        self.step(first_tick_at_or_after(max_seconds, self.config.tick_seconds))
+        return self.finish()
 
     # -------------------------------------------------------- incremental API
 
@@ -302,12 +323,300 @@ class ClusterEngine:
         return self._finished
 
     def _ensure_started(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._prime_events()
+        if not self._started:
+            self._started = True
+            self._start()
 
-    def _prime_events(self) -> None:
+    def _start(self) -> None:
+        """One-time set-up before the first tick or mutation (optional hook)."""
+
+    def step(self, ticks: int) -> int:
+        """Advance the fleet by exactly ``ticks`` ticks; return the new tick.
+
+        The incremental primitive behind :meth:`run`: chunking a horizon into
+        arbitrary ``step`` calls is bit-for-bit identical to one batch run
+        (the chunking parity suites pin it for every tier).
+        """
+        if ticks < 1:
+            raise ValueError("ticks must be at least 1")
+        self._check_mutable()
+        self._ensure_started()
+        target = self._current_tick + ticks
+        self._advance(target)
+        self._current_tick = target
+        return target
+
+    def finish(self) -> ClusterOutcome:
+        """Settle all lazy accounting and freeze the outcome (single use)."""
+        self._check_mutable()
+        self._finished = True
+        self._settle()
+        outcome = self.status.outcome(
+            self._node_outcomes(),
+            routing_description=self.balancer.policy.describe(),
+            coordinator_description=self.coordinator.describe(),
+        )
+        self._telemetry_finalize(outcome)
+        return outcome
+
+    @abc.abstractmethod
+    def _advance(self, target: int) -> None:
+        """Process ticks ``current_tick + 1`` through ``target``."""
+
+    def _settle(self) -> None:
+        """Settle lazy accounting through the boundary before the outcome (optional hook)."""
+
+    # ------------------------------------------------------------ node reads
+
+    @abc.abstractmethod
+    def _node_state(self, node_id: int) -> NodeState:
+        """Current lifecycle state of one node."""
+
+    @abc.abstractmethod
+    def _node_counts(self) -> tuple[int, int]:
+        """``(accepting, live)`` node counts at the boundary."""
+
+    @abc.abstractmethod
+    def _node_outcomes(self) -> list[NodeOutcome]:
+        """The per-node rows of the outcome, in node order."""
+
+    @abc.abstractmethod
+    def node_snapshots(self) -> list[dict]:
+        """Read-only per-node status dicts (see :meth:`ClusterNode.status_dict`)."""
+
+    # ------------------------------------------------------------- mutations
+    #
+    # Live scenario mutations, applied only while the engine is paused at a
+    # step boundary ("after tick j fully settled, before tick j+1 begins").
+    # Each mutation emits one sim-channel "mutation" event, which binds the
+    # command log into the telemetry digest: replaying the same mutations at
+    # the same ticks reproduces the digest byte-for-byte.  The apply hooks
+    # give every tier the same boundary semantics; the event tier stays
+    # bit-for-bit comparable with the per-second reference loop under any
+    # mutation sequence because its hooks mirror that loop's ticks exactly.
+
+    def _check_mutable(self) -> None:
+        if self._finished:
+            raise RuntimeError("this cluster engine has already finished")
+
+    def _check_node(self, node_id: int) -> None:
+        if not 0 <= node_id < self.num_nodes:
+            raise ValueError(f"node_id must be within [0, {self.num_nodes - 1}]")
+
+    def _record_mutation(self, kind: str, data: dict) -> None:
+        if self.telemetry is not None:
+            payload = {"kind": kind}
+            payload.update(data)
+            self.telemetry.event("mutation", self._current_tick, run="fleet", data=payload)
+
+    def mutate_load(self, total_ebs: int) -> None:
+        """Resize the fleet-level browser population at the boundary tick."""
+        self._check_mutable()
+        if total_ebs < 1:
+            raise ValueError("total_ebs must be at least 1")
+        self._ensure_started()
+        previous = self.total_ebs
+        self.total_ebs = total_ebs
+        self._apply_load(total_ebs)
+        self._record_mutation("load", {"total_ebs": total_ebs, "previous": previous})
+
+    def mutate_kill(self, node_id: int, reason: str = "operator kill") -> None:
+        """Crash a live node at the boundary tick (unplanned restart follows).
+
+        Semantically the node completes tick ``j`` normally and its process
+        dies before tick ``j+1``: downtime is charged from ``j+1`` and the
+        node rejoins after its crash-recovery window, exactly as if a served
+        request had crashed it.
+        """
+        self._check_mutable()
+        self._check_node(node_id)
+        state = self._node_state(node_id)
+        if state is NodeState.RESTARTING:
+            raise ValueError(f"node {node_id} is not live (state: {state.value})")
+        self._ensure_started()
+        self._apply_kill(node_id, ServerCrash(f"operator kill: {reason}", resource="operator"))
+        self._record_mutation("kill", {"node": node_id, "reason": reason})
+
+    def mutate_rejuvenate(self, node_id: int) -> None:
+        """Trigger an operator-initiated rejuvenation (drain, then restart).
+
+        Equivalent to the coordinator having scheduled this node at the end
+        of the boundary tick: the node drains for ``drain_seconds`` and then
+        takes its planned restart downtime.
+        """
+        self._check_mutable()
+        self._check_node(node_id)
+        state = self._node_state(node_id)
+        if state is not NodeState.ACTIVE:
+            raise ValueError(
+                f"only an ACTIVE node can be rejuvenated (node {node_id} is {state.value})"
+            )
+        self._ensure_started()
+        self._apply_rejuvenate(node_id)
+        self._record_mutation("rejuvenate", {"node": node_id})
+
+    def mutate_leak_rates(
+        self,
+        node_id: int | None = None,
+        memory_n: int | None = None,
+        thread_m: int | None = None,
+        thread_t: int | None = None,
+    ) -> None:
+        """Change the aging-fault injection rates of one node (or the fleet).
+
+        ``memory_n`` / ``thread_m`` of 0 disable the respective injector;
+        omitted parameters stay unchanged.  The overrides accumulate per node
+        and apply to the live incarnation at once and to every injector built
+        for that node from then on.
+        """
+        self._check_mutable()
+        overrides = leak_rate_overrides(memory_n, thread_m, thread_t)
+        if node_id is not None:
+            self._check_node(node_id)
+        self._ensure_started()
+        for target in range(self.num_nodes) if node_id is None else (node_id,):
+            self._injector_overrides[target].update(overrides)
+            self._apply_leak_rates(target, overrides)
+        self._record_mutation(
+            "leak_rate",
+            {"node": node_id, **{key: overrides[key] for key in sorted(overrides)}},
+        )
+
+    @abc.abstractmethod
+    def _apply_load(self, total_ebs: int) -> None:
+        """Apply a new fleet population (``self.total_ebs`` already holds it)."""
+
+    @abc.abstractmethod
+    def _apply_kill(self, node_id: int, crash: ServerCrash) -> None:
+        """Crash a live node between the boundary tick and the next."""
+
+    @abc.abstractmethod
+    def _apply_rejuvenate(self, node_id: int) -> None:
+        """Start draining an ACTIVE node at the boundary tick."""
+
+    @abc.abstractmethod
+    def _apply_leak_rates(self, node_id: int, overrides: dict) -> None:
+        """Apply new leak-rate ``overrides`` (already recorded) to one node."""
+
+    # -------------------------------------------------------------- snapshots
+
+    def fleet_snapshot(self) -> dict:
+        """Read-only fleet summary at the current boundary (observer-safe).
+
+        Neither starts the engine nor settles lazy state: per-node uptime can
+        lag by up to one monitoring interval on the event tier.  The running
+        aggregates of :class:`FleetStatus` are exact at every step boundary.
+        """
+        active, live = self._node_counts()
+        snapshot = self.status.snapshot_dict()
+        snapshot.update(
+            {
+                "engine": type(self).__name__,
+                "tick": self._current_tick,
+                "sim_seconds": self._current_tick * self.config.tick_seconds,
+                "num_nodes": self.num_nodes,
+                "total_ebs": self.total_ebs,
+                "active_nodes": active,
+                "live_nodes": live,
+                "requests_rerouted": self.requests_rerouted,
+                "routing": self.balancer.policy.describe(),
+                "coordinator": self.coordinator.describe(),
+                "finished": self._finished,
+            }
+        )
+        return snapshot
+
+    # ------------------------------------------------------------- telemetry
+
+    def _telemetry_finalize(self, outcome: ClusterOutcome) -> None:
+        """Flush end-of-run fleet telemetry (sim channel, gauges: idempotent)."""
+        telemetry = self.telemetry
+        if telemetry is None:
+            return
+        self._tier_telemetry(telemetry)
+        telemetry.gauge("cluster.served_requests", outcome.served_requests)
+        telemetry.gauge("cluster.dropped_requests", outcome.dropped_requests)
+        telemetry.gauge("cluster.crashes", outcome.crashes)
+        telemetry.gauge("cluster.rejuvenations", outcome.rejuvenations)
+        telemetry.gauge("cluster.availability", outcome.availability)
+        telemetry.gauge("cluster.full_outage_seconds", outcome.full_outage_seconds)
+        telemetry.gauge("cluster.degraded_seconds", outcome.degraded_seconds)
+        telemetry.gauge("cluster.min_active_nodes", outcome.min_active_nodes)
+        if self.num_nodes <= self._per_node_gauge_cap:
+            for node in outcome.per_node:
+                # Per-node routing totals: the sum of every routing decision
+                # the balancer made in this node's favour (engine-invariant).
+                telemetry.gauge(f"node.n{node.node_id}.requests_served", node.requests_served)
+                telemetry.gauge(f"node.n{node.node_id}.uptime_seconds", node.uptime_seconds)
+                telemetry.gauge(f"node.n{node.node_id}.crashes", node.crashes)
+                telemetry.gauge(f"node.n{node.node_id}.rejuvenations", node.rejuvenations)
+        telemetry.event(
+            "run_end",
+            self._current_tick,
+            run="fleet",
+            data={
+                "served": outcome.served_requests,
+                "dropped": outcome.dropped_requests,
+                "crashes": outcome.crashes,
+                "rejuvenations": outcome.rejuvenations,
+            },
+        )
+
+    def _tier_telemetry(self, telemetry: Telemetry) -> None:
+        """End-of-run telemetry only this tier has (optional hook)."""
+
+    def describe(self) -> str:
+        return (
+            f"{type(self).__name__}({self.num_nodes} nodes, {self.total_ebs} EBs, "
+            f"{self.balancer.describe()}, {self.coordinator.describe()})"
+        )
+
+
+class ClusterEngine(FleetEngine):
+    """The exact, event-driven tier (see the module docstring).
+
+    Takes the :class:`FleetEngine` constructor keywords.
+    """
+
+    def _build(self) -> None:
+        self.clock = SimulationClock(self.config.tick_seconds)
+        #: Fleet-shared forecast epoch: every node bumps it in lockstep with
+        #: its own ``forecast_version``, giving the aging-aware routing
+        #: policy an O(1) "has anything changed?" check per request.
+        self.routing_epoch = RoutingEpoch()
+        self.workload = WorkloadGenerator(
+            num_browsers=self.total_ebs,
+            mean_think_time_s=self.config.mean_think_time_s,
+            mix=self.mix,
+            seed=random.Random(self.seed).randrange(2**31),
+        )
+        self.nodes: list[ClusterNode] = [
+            ClusterNode(
+                node_id=node_id,
+                config=self.node_configs[node_id] if self.node_configs is not None else self.config,
+                injector_factory=self._node_injector_factory(node_id),
+                seed=self._node_seed(node_id),
+                predictor=self.predictor,
+                monitor_factory=self.monitor_factory,
+                alarm_threshold_seconds=self.alarm_threshold_seconds,
+                alarm_consecutive=self.alarm_consecutive,
+                drain_seconds=self.drain_seconds,
+                rejuvenation_downtime_seconds=self.rejuvenation_downtime_seconds,
+                crash_downtime_seconds=self.crash_downtime_seconds,
+                routing_epoch=self.routing_epoch,
+                fleet_clock=self.clock,
+            )
+            for node_id in range(self.num_nodes)
+        ]
+        self.requests_rerouted = 0
+
+        # Event-driven scheduler state (populated on the first step()).
+        self._events: list[tuple[int, int, int]] = []
+        self._browser_fires: list[tuple[int, int, int]] = []
+        self._active_count = self.num_nodes
+        self._candidates: list[ClusterNode] | None = None
+
+    def _start(self) -> None:
         """Arm the initial wake events (first step of the event-driven engine)."""
         tick = self.config.tick_seconds
         for index, browser in enumerate(self.workload.browser_population()):
@@ -328,23 +637,15 @@ class ClusterEngine:
             # per-tick cadence) rather than scheduling an impossible wake.
             heapq.heappush(self._events, (max(hint, 1), _DECIDE, -1))
 
-    def step(self, ticks: int) -> int:
-        """Advance the fleet by exactly ``ticks`` ticks; return the new tick.
+    def _advance(self, target: int) -> None:
+        """Jump from event tick to event tick up to ``target``.
 
-        The incremental primitive behind :meth:`run`: chunking a horizon into
-        arbitrary ``step`` calls is bit-for-bit identical to one batch run
-        (quiet spans split exactly, the clock counts integer ticks, and the
-        fleet clock is parked on the boundary so mutations applied between
-        steps stamp the right tick).
+        Quiet spans split exactly at any boundary, the clock counts integer
+        ticks, and the fleet clock is parked on the boundary so mutations
+        applied between steps stamp the right tick.
         """
-        if ticks < 1:
-            raise ValueError("ticks must be at least 1")
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-        self._ensure_started()
         tick = self.config.tick_seconds
         current = self._current_tick
-        target = current + ticks
         while current < target:
             heads = []
             if self._browser_fires:
@@ -367,19 +668,10 @@ class ClusterEngine:
             self._process_event_tick(current)
         if self.clock.ticks < target:
             self.clock.advance(target - self.clock.ticks)
-        self._current_tick = target
-        return target
 
-    def finish(self) -> ClusterOutcome:
-        """Settle all lazy accounting and freeze the outcome (single use)."""
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-        self._finished = True
+    def _settle(self) -> None:
         for node in self.nodes:
             node.ev_flush(self._current_tick)
-        outcome = self.outcome()
-        self._telemetry_finalize(outcome)
-        return outcome
 
     # --------------------------------------------------------- event plumbing
 
@@ -578,48 +870,19 @@ class ClusterEngine:
                 heapq.heappush(self._events, (max(hint, current + 1), _DECIDE, -1))
 
     # ------------------------------------------------------------- mutations
-    #
-    # Live scenario mutations, applied only while the engine is paused at a
-    # step boundary ("after tick j fully settled, before tick j+1 begins").
-    # Each mutation emits one sim-channel "mutation" event, which binds the
-    # command log into the telemetry digest: replaying the same mutations at
-    # the same ticks reproduces the digest byte-for-byte, and the engine
-    # stays bit-for-bit comparable with the per-second reference loop under
-    # any mutation sequence because the semantics below mirror its ticks
-    # precisely.
 
-    def _check_mutable(self) -> None:
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-
-    def _record_mutation(self, kind: str, data: dict) -> None:
-        if self.telemetry is not None:
-            payload = {"kind": kind}
-            payload.update(data)
-            self.telemetry.event("mutation", self._current_tick, run="fleet", data=payload)
-
-    def mutate_load(self, total_ebs: int) -> None:
-        """Resize the fleet-level browser population at the boundary tick.
+    def _apply_load(self, total_ebs: int) -> None:
+        """Resize the browser population and schedule the newcomers.
 
         Growth draws fresh browser seeds from the workload generator's own
         stream (engine-invariant); shrink truncates the population tail.  A
         tick-by-tick loop first ticks a new browser on the following tick, so
         the engine schedules its first fire accordingly.
         """
-        self._check_mutable()
-        if total_ebs < 1:
-            raise ValueError("total_ebs must be at least 1")
-        self._ensure_started()
-        previous = self.total_ebs
-        old_count = self.workload.num_browsers
-        self.workload.set_num_browsers(total_ebs)
-        self.total_ebs = total_ebs
-        self._after_load_change(old_count)
-        self._record_mutation("load", {"total_ebs": total_ebs, "previous": previous})
-
-    def _after_load_change(self, old_count: int) -> None:
         j = self._current_tick
         tick = self.config.tick_seconds
+        old_count = self.workload.num_browsers
+        self.workload.set_num_browsers(total_ebs)
         browsers = self.workload.browser_population()
         for index in range(old_count, len(browsers)):
             browser = browsers[index]
@@ -629,188 +892,68 @@ class ClusterEngine:
             )
         heapq.heappush(self._events, (j + 1, _DECIDE, -1))
 
-    def mutate_kill(self, node_id: int, reason: str = "operator kill") -> None:
-        """Crash a live node at the boundary tick (unplanned restart follows).
-
-        Semantically the node completes tick ``j`` normally and its process
-        dies before tick ``j+1``: downtime is charged from ``j+1`` and the
-        node rejoins after its crash-recovery window, exactly as if a served
-        request had crashed it -- the reference loop times it identically.
-        """
-        self._check_mutable()
-        node = self._mutation_node(node_id)
-        if not node.live:
-            raise ValueError(f"node {node_id} is not live (state: {node.state.value})")
-        self._ensure_started()
-        crash = ServerCrash(f"operator kill: {reason}", resource="operator")
-        self._apply_kill(node, crash)
-        self._record_mutation("kill", {"node": node_id, "reason": reason})
-
-    def _apply_kill(self, node: ClusterNode, crash: ServerCrash) -> None:
+    def _apply_kill(self, node_id: int, crash: ServerCrash) -> None:
         j = self._current_tick
+        node = self.nodes[node_id]
         was_accepting = node.accepting
         rejoin_tick = node.ev_record_crash_at_boundary(j, crash)
-        heapq.heappush(self._events, (rejoin_tick, _TRANSITION, node.node_id))
+        heapq.heappush(self._events, (rejoin_tick, _TRANSITION, node_id))
         if was_accepting:
             self._active_count -= 1
         self._candidates = None
         heapq.heappush(self._events, (j + 1, _DECIDE, -1))
 
-    def mutate_rejuvenate(self, node_id: int) -> None:
-        """Trigger an operator-initiated rejuvenation (drain, then restart).
-
-        Equivalent to the coordinator having scheduled this node at the end
-        of the boundary tick: the node drains for ``drain_seconds`` and then
-        takes its planned restart downtime.
-        """
-        self._check_mutable()
-        node = self._mutation_node(node_id)
-        if not node.accepting:
-            raise ValueError(
-                f"only an ACTIVE node can be rejuvenated (node {node_id} is {node.state.value})"
-            )
-        self._ensure_started()
-        self._apply_rejuvenate(node)
-        self._record_mutation("rejuvenate", {"node": node_id})
-
-    def _apply_rejuvenate(self, node: ClusterNode) -> None:
+    def _apply_rejuvenate(self, node_id: int) -> None:
         j = self._current_tick
-        drain_transition = node.ev_begin_drain(j)
-        heapq.heappush(self._events, (drain_transition, _TRANSITION, node.node_id))
+        drain_transition = self.nodes[node_id].ev_begin_drain(j)
+        heapq.heappush(self._events, (drain_transition, _TRANSITION, node_id))
         self._active_count -= 1
         self._candidates = None
         heapq.heappush(self._events, (j + 1, _DECIDE, -1))
 
-    def mutate_leak_rates(
-        self,
-        node_id: int | None = None,
-        memory_n: int | None = None,
-        thread_m: int | None = None,
-        thread_t: int | None = None,
-    ) -> None:
-        """Change the aging-fault injection rates of one node (or the fleet).
+    def _apply_leak_rates(self, node_id: int, overrides: dict) -> None:
+        """Retune the live incarnation's injectors.
 
-        ``memory_n`` / ``thread_m`` of 0 disable the respective injector;
-        omitted parameters stay unchanged.  Applies to the live incarnations
-        immediately and to every future incarnation of the targeted nodes
-        (fresh injectors get the cumulative overrides re-applied).  Injector
-        wake schedules are untouched: the thread injector's next-injection
-        time survives a rate change by design, and the memory leak is purely
-        workload-driven.
+        Later incarnations get the cumulative overrides through their
+        node's injector factory.
+        Injector wake schedules are untouched: the thread injector's
+        next-injection time survives a rate change by design, and the memory
+        leak is purely workload-driven.
         """
-        self._check_mutable()
-        overrides = leak_rate_overrides(memory_n, thread_m, thread_t)
-        targets = self.nodes if node_id is None else [self._mutation_node(node_id)]
-        self._ensure_started()
-        for node in targets:
-            self._install_override_factory(node)
-            self._injector_overrides[node.node_id].update(overrides)
-            if node.live and node.simulation is not None:
-                apply_injector_overrides(node.simulation.injectors, overrides)
-        self._record_mutation(
-            "leak_rate",
-            {"node": node_id, **{key: overrides[key] for key in sorted(overrides)}},
+        node = self.nodes[node_id]
+        if node.live and node.simulation is not None:
+            apply_injector_overrides(node.simulation.injectors, overrides)
+
+    # ------------------------------------------------------------ node reads
+
+    def _node_state(self, node_id: int) -> NodeState:
+        return self.nodes[node_id].state
+
+    def _node_counts(self) -> tuple[int, int]:
+        return (
+            sum(1 for node in self.nodes if node.accepting),
+            sum(1 for node in self.nodes if node.live),
         )
 
-    def _install_override_factory(self, node: ClusterNode) -> None:
-        """Wrap a node's injector factory so future incarnations inherit overrides."""
-        if node.node_id in self._injector_overrides:
-            return
-        store: dict = {}
-        self._injector_overrides[node.node_id] = store
-        base = node.injector_factory
-
-        def factory(seed: int):
-            injectors = list(base(seed))
-            apply_injector_overrides(injectors, store)
-            return injectors
-
-        node.injector_factory = factory
-
-    def _mutation_node(self, node_id: int) -> ClusterNode:
-        if not 0 <= node_id < len(self.nodes):
-            raise ValueError(f"node_id must be within [0, {len(self.nodes) - 1}]")
-        return self.nodes[node_id]
-
-    # -------------------------------------------------------------- snapshots
-
-    def fleet_snapshot(self) -> dict:
-        """Read-only fleet summary at the current boundary (observer-safe).
-
-        Never settles lazy state: per-node uptime can lag by up to one
-        monitoring interval on the event engine.  The running aggregates of
-        :class:`FleetStatus` are exact at every step boundary.
-        """
-        snapshot = self.status.snapshot_dict()
-        snapshot.update(
-            {
-                "engine": type(self).__name__,
-                "tick": self._current_tick,
-                "sim_seconds": self._current_tick * self.config.tick_seconds,
-                "num_nodes": len(self.nodes),
-                "total_ebs": self.total_ebs,
-                "active_nodes": sum(1 for node in self.nodes if node.accepting),
-                "live_nodes": sum(1 for node in self.nodes if node.live),
-                "requests_rerouted": self.requests_rerouted,
-                "routing": self.balancer.policy.describe(),
-                "coordinator": self.coordinator.describe(),
-                "finished": self._finished,
-            }
-        )
-        return snapshot
+    def _node_outcomes(self) -> list[NodeOutcome]:
+        return [
+            NodeOutcome(
+                node_id=node.node_id,
+                uptime_seconds=node.uptime_seconds,
+                planned_downtime_seconds=node.planned_downtime_seconds,
+                unplanned_downtime_seconds=node.unplanned_downtime_seconds,
+                crashes=node.crashes,
+                rejuvenations=node.rejuvenations,
+                requests_served=node.requests_served,
+            )
+            for node in self.nodes
+        ]
 
     def node_snapshots(self) -> list[dict]:
-        """Read-only per-node status dicts (see :meth:`ClusterNode.status_dict`)."""
         return [node.status_dict() for node in self.nodes]
 
-    # --------------------------------------------------------------- results
-
-    def outcome(self) -> ClusterOutcome:
-        """Freeze the fleet accounting into a :class:`ClusterOutcome`."""
-        return self.status.outcome(
-            self.nodes,
-            routing_description=self.balancer.policy.describe(),
-            coordinator_description=self.coordinator.describe(),
-        )
-
-    def _telemetry_finalize(self, outcome: ClusterOutcome) -> None:
-        """Flush end-of-run fleet telemetry (sim channel, gauges: idempotent)."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            return
+    def _tier_telemetry(self, telemetry: Telemetry) -> None:
         for node in self.nodes:
             if node.simulation is not None:
                 node.simulation._telemetry_finish()
-        telemetry.gauge("cluster.served_requests", outcome.served_requests)
-        telemetry.gauge("cluster.dropped_requests", outcome.dropped_requests)
         telemetry.gauge("cluster.rerouted_requests", self.requests_rerouted)
-        telemetry.gauge("cluster.crashes", outcome.crashes)
-        telemetry.gauge("cluster.rejuvenations", outcome.rejuvenations)
-        telemetry.gauge("cluster.availability", outcome.availability)
-        telemetry.gauge("cluster.full_outage_seconds", outcome.full_outage_seconds)
-        telemetry.gauge("cluster.degraded_seconds", outcome.degraded_seconds)
-        telemetry.gauge("cluster.min_active_nodes", outcome.min_active_nodes)
-        for node in self.nodes:
-            # Per-node routing totals: the sum of every routing decision the
-            # balancer made in this node's favour (engine-invariant).
-            telemetry.gauge(f"node.n{node.node_id}.requests_served", node.requests_served)
-            telemetry.gauge(f"node.n{node.node_id}.uptime_seconds", node.uptime_seconds)
-            telemetry.gauge(f"node.n{node.node_id}.crashes", node.crashes)
-            telemetry.gauge(f"node.n{node.node_id}.rejuvenations", node.rejuvenations)
-        telemetry.event(
-            "run_end",
-            self.clock.ticks,
-            run="fleet",
-            data={
-                "served": outcome.served_requests,
-                "dropped": outcome.dropped_requests,
-                "crashes": outcome.crashes,
-                "rejuvenations": outcome.rejuvenations,
-            },
-        )
-
-    def describe(self) -> str:
-        return (
-            f"{type(self).__name__}({len(self.nodes)} nodes, {self.total_ebs} EBs, "
-            f"{self.balancer.describe()}, {self.coordinator.describe()})"
-        )

@@ -20,10 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.node import ClusterNode
+from typing import Sequence
 
 __all__ = ["NodeOutcome", "ClusterOutcome", "FleetStatus"]
 
@@ -55,7 +52,14 @@ class NodeOutcome:
     crashes: int
     rejuvenations: int
     requests_served: int
-    availability: float
+
+    @property
+    def availability(self) -> float:
+        """Fraction of the node's elapsed time it was up (0.0 when none elapsed)."""
+        total = self.uptime_seconds + (self.planned_downtime_seconds + self.unplanned_downtime_seconds)
+        if total <= 0:
+            return 0.0
+        return self.uptime_seconds / total
 
     def to_dict(self) -> dict:
         """Canonical JSON-safe view (finite floats, ints; no NaN)."""
@@ -269,24 +273,12 @@ class FleetStatus:
 
     def outcome(
         self,
-        nodes: Sequence["ClusterNode"],
+        per_node: Sequence[NodeOutcome],
         routing_description: str,
         coordinator_description: str,
     ) -> ClusterOutcome:
-        """Freeze the aggregates (plus per-node accounting) into an outcome."""
-        per_node = tuple(
-            NodeOutcome(
-                node_id=node.node_id,
-                uptime_seconds=node.uptime_seconds,
-                planned_downtime_seconds=node.planned_downtime_seconds,
-                unplanned_downtime_seconds=node.unplanned_downtime_seconds,
-                crashes=node.crashes,
-                rejuvenations=node.rejuvenations,
-                requests_served=node.requests_served,
-                availability=node.availability,
-            )
-            for node in nodes
-        )
+        """Freeze the aggregates, plus the per-node rows a tier built, into an outcome."""
+        per_node = tuple(per_node)
         return ClusterOutcome(
             routing_description=routing_description,
             coordinator_description=coordinator_description,
@@ -298,9 +290,9 @@ class FleetStatus:
             min_active_nodes=self.min_active_nodes,
             served_requests=self.served_requests,
             dropped_requests=self.dropped_requests,
-            crashes=sum(node.crashes for node in nodes),
-            rejuvenations=sum(node.rejuvenations for node in nodes),
-            planned_downtime_seconds=sum(node.planned_downtime_seconds for node in nodes),
-            unplanned_downtime_seconds=sum(node.unplanned_downtime_seconds for node in nodes),
+            crashes=sum(node.crashes for node in per_node),
+            rejuvenations=sum(node.rejuvenations for node in per_node),
+            planned_downtime_seconds=sum(node.planned_downtime_seconds for node in per_node),
+            unplanned_downtime_seconds=sum(node.unplanned_downtime_seconds for node in per_node),
             per_node=per_node,
         )

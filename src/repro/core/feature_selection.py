@@ -11,8 +11,6 @@ correlation-based automatic ranking usable when no expert is available.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.dataset import AgingDataset

@@ -52,6 +52,7 @@ __all__ = [
     "train_cluster_predictor",
     "derive_time_based_interval",
     "lifecycle_monitor_factory",
+    "engine_kwargs",
     "build_cluster_engine",
     "run_cluster_policy",
     "run_cluster_experiment",
@@ -204,6 +205,27 @@ def lifecycle_monitor_factory(
     return factory
 
 
+def engine_kwargs(scenario: ClusterScenario) -> dict:
+    """The engine-constructor keywords a :class:`ClusterScenario` fixes.
+
+    Every engine tier takes them; a caller adds the routing policy,
+    coordinator and predictor (or monitor factory) of the policy it runs.
+    """
+    return {
+        "num_nodes": scenario.num_nodes,
+        "config": scenario.config,
+        "node_configs": scenario.node_configs,
+        "total_ebs": scenario.total_ebs,
+        "injector_factory": scenario.injector_factory,
+        "alarm_threshold_seconds": scenario.alarm_threshold_seconds,
+        "alarm_consecutive": scenario.alarm_consecutive,
+        "drain_seconds": scenario.drain_seconds,
+        "rejuvenation_downtime_seconds": scenario.rejuvenation_downtime_seconds,
+        "crash_downtime_seconds": scenario.crash_downtime_seconds,
+        "seed": scenario.cluster_seed,
+    }
+
+
 def build_cluster_engine(
     scenario: ClusterScenario,
     coordinator: ClusterRejuvenationCoordinator,
@@ -226,21 +248,11 @@ def build_cluster_engine(
         )
     engine_cls = ClusterEngine if fleet_engine == "event" else FluidClusterEngine
     return engine_cls(
-        num_nodes=scenario.num_nodes,
-        config=scenario.config,
-        node_configs=scenario.node_configs,
-        total_ebs=scenario.total_ebs,
-        injector_factory=scenario.injector_factory,
         routing_policy=routing_policy,
         coordinator=coordinator,
         predictor=predictor,
         monitor_factory=monitor_factory,
-        alarm_threshold_seconds=scenario.alarm_threshold_seconds,
-        alarm_consecutive=scenario.alarm_consecutive,
-        drain_seconds=scenario.drain_seconds,
-        rejuvenation_downtime_seconds=scenario.rejuvenation_downtime_seconds,
-        crash_downtime_seconds=scenario.crash_downtime_seconds,
-        seed=scenario.cluster_seed,
+        **engine_kwargs(scenario),
     )
 
 

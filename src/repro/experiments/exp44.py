@@ -29,7 +29,6 @@ from repro.core.predictor import AgingPredictor
 from repro.core.root_cause import RootCauseReport, analyse_root_cause
 from repro.experiments.runner import (
     run_memory_leak_trace,
-    run_no_injection_trace,
     run_thread_leak_trace,
     run_two_resource_trace,
 )

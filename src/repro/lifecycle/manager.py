@@ -43,7 +43,7 @@ from repro.lifecycle.drift import (
     PageHinkleyDetector,
     RollingErrorTracker,
 )
-from repro.lifecycle.training import GateDecision, train_challenger
+from repro.lifecycle.training import train_challenger
 from repro.ml.naive import NaiveSlopePredictor
 from repro.telemetry import Telemetry
 from repro.telemetry import runtime as telemetry_runtime

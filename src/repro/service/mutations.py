@@ -7,11 +7,14 @@ rejuvenation.  Each applied command is stamped with the boundary tick and a
 per-session sequence number and appended to the session's command log --
 the unit of replay.
 
-The same vocabulary covers both engine tiers because they share the
-``mutate_*`` surface (``ClusterEngine`` and ``FluidClusterEngine`` implement
-it with boundary-identical semantics, as does the test suite's per-second
-reference loop); :func:`apply_mutation` is nothing but a validated dispatch
-onto it.  Parsing keeps its own checks, which turn HTTP input into
+The same vocabulary covers both engine tiers because they share one
+``mutate_*`` front end: ``repro.cluster.engine.FleetEngine`` checks every
+command once (finished engine, node range, node state, leak rates) and hands
+it to a small per-tier apply hook, so ``ClusterEngine``,
+``FluidClusterEngine`` and the test suite's per-second reference loop apply
+it with boundary-identical semantics and refuse it with the same messages.
+:func:`apply_mutation` is nothing but a validated dispatch onto that front
+end.  Parsing keeps its own checks, which turn HTTP input into
 :class:`MutationError` before any engine sees it.
 """
 

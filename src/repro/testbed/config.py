@@ -15,7 +15,7 @@ Two configuration objects live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["MachineDescription", "TestbedConfig"]
 

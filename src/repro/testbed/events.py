@@ -58,7 +58,6 @@ from __future__ import annotations
 import typing
 from bisect import bisect
 from heapq import heappop, heappush
-from itertools import accumulate
 from math import ceil as _ceil
 from math import log as _log
 from typing import Callable

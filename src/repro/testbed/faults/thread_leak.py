@@ -15,12 +15,8 @@ aging -- the coupling that makes the two-resource scenario interesting.
 from __future__ import annotations
 
 import random
-import typing
 
 from repro.testbed.faults.injector import FaultInjector
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testbed.appserver.tomcat import TomcatServer
 
 __all__ = ["ThreadLeakInjector"]
 

@@ -20,7 +20,6 @@ from repro.cluster.balancer import LoadBalancer
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.node import ClusterNode
 from repro.cluster.routing import AgingAwareRouting
-from repro.cluster.status import ClusterOutcome
 from repro.experiments import cluster as experiments_cluster
 from repro.telemetry.hub import ENGINE
 from repro.testbed.errors import ServerCrash
@@ -60,53 +59,31 @@ class ReferenceAgingAwareRouting(AgingAwareRouting):
 class PerSecondClusterEngine(ClusterEngine):
     """The tick-everything fleet loop: every node and browser, every tick."""
 
-    def run(self, max_seconds: float) -> ClusterOutcome:
-        self._check_batch_use(max_seconds)
-        self._ensure_started()
-        tick = self.config.tick_seconds
-        while self.clock.now < max_seconds:
-            self.clock.advance()
-            self._run_one_tick(tick)
-        self._current_tick = self.clock.ticks
-        return self.finish()
-
-    def _prime_events(self) -> None:
+    def _start(self) -> None:
         """Every tick is processed: there are no wake events to arm."""
 
-    def step(self, ticks: int) -> int:
-        if ticks < 1:
-            raise ValueError("ticks must be at least 1")
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-        self._ensure_started()
+    def _advance(self, target: int) -> None:
         tick = self.config.tick_seconds
-        for _ in range(ticks):
+        for _ in range(target - self._current_tick):
             self.clock.advance()
             self._run_one_tick(tick)
-        self._current_tick = self.clock.ticks
-        return self._current_tick
 
-    def finish(self) -> ClusterOutcome:
-        if self._finished:
-            raise RuntimeError("this cluster engine has already finished")
-        self._finished = True
-        outcome = self.outcome()
+    def _settle(self) -> None:
+        """Nothing is lazy (every tick settled as it ran): count the ticks."""
         if self.telemetry is not None:
             self.telemetry.count("cluster.per_second.ticks", self.clock.ticks, channel=ENGINE)
-        self._telemetry_finalize(outcome)
-        return outcome
 
     # Boundary mutations reduce to the plain lifecycle calls: the loop
     # re-derives everything per tick, so nothing needs re-arming.
 
-    def _after_load_change(self, old_count: int) -> None:
-        """The next tick's loop sees the new population."""
+    def _apply_load(self, total_ebs: int) -> None:
+        self.workload.set_num_browsers(total_ebs)
 
-    def _apply_kill(self, node: ClusterNode, crash: ServerCrash) -> None:
-        node.record_crash(crash)
+    def _apply_kill(self, node_id: int, crash: ServerCrash) -> None:
+        self.nodes[node_id].record_crash(crash)
 
-    def _apply_rejuvenate(self, node: ClusterNode) -> None:
-        node.begin_drain()
+    def _apply_rejuvenate(self, node_id: int) -> None:
+        self.nodes[node_id].begin_drain()
 
     def _run_one_tick(self, tick: float) -> None:
         live_nodes = [node for node in self.nodes if node.advance_tick(tick)]
@@ -171,8 +148,9 @@ def build_cluster_engine(
     """``build_cluster_engine`` with the per-second loop as a third tier.
 
     ``fleet_engine="per_second"`` builds :class:`PerSecondClusterEngine` from
-    the scenario exactly as the program's builder builds ``ClusterEngine``;
-    ``"event"`` and ``"fluid"`` go to the program's own builder.
+    the scenario's ``engine_kwargs``, exactly as
+    :func:`repro.experiments.cluster.build_cluster_engine` builds
+    ``ClusterEngine``; ``"event"`` and ``"fluid"`` go to that function.
     """
     if fleet_engine != "per_second":
         return experiments_cluster.build_cluster_engine(
@@ -183,18 +161,8 @@ def build_cluster_engine(
             fleet_engine=fleet_engine,
         )
     return PerSecondClusterEngine(
-        num_nodes=scenario.num_nodes,
-        config=scenario.config,
-        node_configs=scenario.node_configs,
-        total_ebs=scenario.total_ebs,
-        injector_factory=scenario.injector_factory,
         routing_policy=routing_policy,
         coordinator=coordinator,
         predictor=predictor,
-        alarm_threshold_seconds=scenario.alarm_threshold_seconds,
-        alarm_consecutive=scenario.alarm_consecutive,
-        drain_seconds=scenario.drain_seconds,
-        rejuvenation_downtime_seconds=scenario.rejuvenation_downtime_seconds,
-        crash_downtime_seconds=scenario.crash_downtime_seconds,
-        seed=scenario.cluster_seed,
+        **experiments_cluster.engine_kwargs(scenario),
     )

@@ -21,6 +21,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.routing import AgingAwareRouting, LeastConnectionsRouting
+from repro.experiments.cluster import engine_kwargs
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
 from tests.cluster.oracle import PerSecondClusterEngine
 
@@ -49,20 +50,10 @@ def run_both(scenario, horizon_seconds, routing_factory=None, coordinator_factor
     engines = []
     for engine_class in (PerSecondClusterEngine, ClusterEngine):
         engine = engine_class(
-            num_nodes=scenario.num_nodes,
-            config=scenario.config,
-            node_configs=scenario.node_configs,
-            total_ebs=scenario.total_ebs,
-            injector_factory=scenario.injector_factory,
             routing_policy=routing_factory() if routing_factory is not None else None,
             coordinator=coordinator_factory() if coordinator_factory is not None else None,
             predictor=predictor,
-            alarm_threshold_seconds=scenario.alarm_threshold_seconds,
-            alarm_consecutive=scenario.alarm_consecutive,
-            drain_seconds=scenario.drain_seconds,
-            rejuvenation_downtime_seconds=scenario.rejuvenation_downtime_seconds,
-            crash_downtime_seconds=scenario.crash_downtime_seconds,
-            seed=scenario.cluster_seed,
+            **engine_kwargs(scenario),
         )
         outcomes.append(engine.run(max_seconds=horizon_seconds))
         engines.append(engine)

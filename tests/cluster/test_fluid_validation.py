@@ -19,7 +19,6 @@ from repro.cluster.coordinator import NoClusterRejuvenation
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.fluid import FluidClusterEngine
 from repro.experiments.cluster import run_cluster_experiment
-from repro.experiments.scenarios import ClusterScenario
 
 #: Capacity-weighted availability: absolute tolerance between tiers.
 AVAILABILITY_TOLERANCE = 0.05

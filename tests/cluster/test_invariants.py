@@ -32,7 +32,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.node import NodeState
-from repro.cluster.routing import AgingAwareRouting, LeastConnectionsRouting, RoundRobinRouting
+from repro.cluster.routing import AgingAwareRouting, RoundRobinRouting
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
 from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation

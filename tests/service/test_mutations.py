@@ -148,9 +148,28 @@ def test_rejuvenate_requires_an_accepting_node(fleet_engine):
         apply_mutation(engine, "rejuvenate", {"node": 2})
 
 
-def test_mutations_rejected_after_finish():
-    engine = build_cluster_engine(ClusterScenario.fast(), NoClusterRejuvenation())
+@pytest.mark.parametrize("fleet_engine", ["event", "per_second", "fluid"])
+def test_mutations_rejected_after_finish(fleet_engine):
+    engine = build_cluster_engine(
+        ClusterScenario.fast(), NoClusterRejuvenation(), fleet_engine=fleet_engine
+    )
     engine.step(10)
     engine.finish()
-    with pytest.raises(MutationError):
+    with pytest.raises(MutationError, match="already finished"):
         apply_mutation(engine, "load", {"total_ebs": 50})
+
+
+@pytest.mark.parametrize("fleet_engine", ["event", "per_second", "fluid"])
+@pytest.mark.parametrize(
+    "kind, params",
+    [("kill", {}), ("rejuvenate", {}), ("leak_rate", {"memory_n": 40})],
+)
+def test_out_of_range_node_refused_alike(fleet_engine, kind, params):
+    scenario = ClusterScenario.fast()
+    engine = build_cluster_engine(scenario, NoClusterRejuvenation(), fleet_engine=fleet_engine)
+    engine.step(60)
+    with pytest.raises(MutationError) as refused:
+        apply_mutation(engine, kind, {"node": scenario.num_nodes, **params})
+    assert str(refused.value) == f"node_id must be within [0, {scenario.num_nodes - 1}]"
+    assert engine.current_tick == 60
+    assert engine.step(1) == 61

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.testbed.clock import SimulationClock
-from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import ScheduledAction, TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.periodic import PeriodicPatternInjector
