@@ -71,26 +71,6 @@ def main() -> None:
     print(f"  selection helps M5P: {result43.metrics['selection_helps_m5p']}")
     print(f"  selected M5P model size: {result43.metrics['selected_m5p_leaves']} leaves")
 
-    print("\nScenario 3: the prediction board extension (consensus of models)")
-    from repro.core import AgingPredictor, PredictionBoard
-    from repro.experiments.runner import run_memory_leak_trace, run_no_injection_trace
-    from repro.experiments.scenarios import ExperimentScenarios
-
-    scenarios = ExperimentScenarios.fast(seed=42)
-    config = scenarios.config
-    training = [
-        run_no_injection_trace(config, 100, duration_seconds=scenarios.healthy_run_seconds, seed=1),
-        run_memory_leak_trace(config, 100, n=15, seed=2),
-        run_memory_leak_trace(config, 100, n=30, seed=3),
-    ]
-    test_trace = run_memory_leak_trace(config, 100, n=20, seed=9)
-    board = PredictionBoard(
-        [AgingPredictor(model="m5p"), AgingPredictor(model="linear"), AgingPredictor(model="tree")]
-    ).fit(training)
-    print(f"  consensus : {board.evaluate_trace(test_trace).summary()}")
-    for member, evaluation in zip(board.members, board.evaluate_members(test_trace)):
-        print(f"  {member.model_name:9s} : {evaluation.summary()}")
-
 
 if __name__ == "__main__":
     main()

@@ -11,8 +11,7 @@ example reproduces that loop on the simulated testbed:
 3. raise the rejuvenation alarm when the predicted time to failure falls
    below a safety threshold;
 4. compare three operation policies (do nothing, restart every hour,
-   restart when the predictor says so) over a long horizon — first on one
-   server with the library, then at fleet scale through the unified
+   restart when the predictor says so) on a fleet, through the unified
    ``repro.api`` entry point (``repro run cluster --scale small``).
 
 Run it with::
@@ -22,12 +21,6 @@ Run it with::
 
 from repro import api
 from repro.core import AgingPredictor, OnlineAgingMonitor, format_duration
-from repro.rejuvenation import (
-    NoRejuvenationPolicy,
-    PredictiveRejuvenationPolicy,
-    TimeBasedRejuvenationPolicy,
-    simulate_policy,
-)
 from repro.testbed import MemoryLeakInjector, TestbedConfig, TestbedSimulation
 
 CONFIG = TestbedConfig().scaled_for_fast_runs(4.0)
@@ -65,22 +58,7 @@ def main() -> None:
         margin = live_trace.crash_time_seconds - monitor.alarm_time
         print(f"  the alarm fired {format_duration(margin)} before the actual crash")
 
-    print("\nComparing rejuvenation policies over a 12-hour horizon (one server)...")
-    horizon = 12 * 3600.0
-
-    def factory(epoch: int):
-        return aging_run(100 + epoch)
-
-    policies = [
-        NoRejuvenationPolicy(),
-        TimeBasedRejuvenationPolicy(interval_seconds=3600.0),
-        PredictiveRejuvenationPolicy(predictor, threshold_seconds=600.0, consecutive=2),
-    ]
-    for policy in policies:
-        outcome = simulate_policy(policy, factory, horizon_seconds=horizon)
-        print(f"  {outcome.summary()}")
-
-    print("\nThe same comparison at fleet scale, through the unified API")
+    print("\nComparing rejuvenation policies on a fleet, through the unified API")
     print("(equivalently: repro run cluster --scale small --out results/cluster.json)...")
     fleet = api.run("cluster", scale="small")
     for policy in ("no_rejuvenation", "time_based", "rolling_predictive"):

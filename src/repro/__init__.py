@@ -1,12 +1,12 @@
 """repro: reproduction of "Adaptive on-line software aging prediction based on Machine Learning".
 
 The package reproduces Alonso, Torres, Berral & Gavaldà (DSN 2010).  It is
-organised in five layers, from the bottom substrate to the paper's headline
-contribution:
+organised in layers, from the bottom substrate to the paper's headline
+contribution and the systems built around it:
 
 ``repro.ml``
     From-scratch machine learning: M5P model trees, linear regression,
-    regression trees, AR/ARMA baselines and the naive Equation (1) predictor.
+    regression trees and the naive Equation (1) predictor.
 ``repro.testbed``
     A deterministic discrete-time simulation of the paper's three-tier
     TPC-W / Tomcat / MySQL testbed, including a generational JVM heap, the
@@ -19,13 +19,18 @@ contribution:
 ``repro.experiments``
     Drivers that regenerate every experiment of Section 4 (4.1–4.4) and the
     data series behind Figures 1–5.
-``repro.rejuvenation``
-    An extension: time-based versus prediction-driven rejuvenation policies.
+``repro.cluster``
+    An extension: a load-balanced fleet of testbed nodes under no,
+    time-based or prediction-driven rolling rejuvenation, settled by the
+    exact event engine or the numpy fluid tier.
 ``repro.api``
     The unified experiment API: a registry of declarative
     :class:`~repro.api.ExperimentSpec`\\ s, the single ``run(name, **params)``
     entry point, the serializable :class:`~repro.api.RunResult` envelope and
     the ``repro`` command-line interface (``python -m repro``).
+``repro.service``
+    ``repro serve``: a live fleet session over HTTP, with mutations and a
+    byte-identical replay.
 """
 
 from __future__ import annotations

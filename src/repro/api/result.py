@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+from repro.telemetry.sinks import canonical_json
+
 __all__ = ["RunResult", "SCHEMA_VERSION", "content_key"]
 
 #: Revision of the serialized envelope layout.
@@ -56,12 +58,7 @@ def content_key(name: str, params: Mapping[str, Any], version: str) -> str:
     change to a parameter or to the package version yields a fresh key,
     which is exactly the invalidation rule the result store needs.
     """
-    identity = json.dumps(
-        {"name": name, "params": dict(params), "version": version},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    identity = canonical_json({"name": name, "params": dict(params), "version": version})
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 

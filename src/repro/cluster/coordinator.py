@@ -1,8 +1,8 @@
 """Fleet-level rejuvenation coordination.
 
-The single-server policies of :mod:`repro.rejuvenation.policies` answer
-"should *this* server restart now?".  At fleet scale the question becomes
-"which servers may restart *now* without hurting the service?", and the
+A single server's rejuvenation policy answers "should *this* server
+restart now?".  At fleet scale the question becomes "which servers may
+restart *now* without hurting the service?", and the
 difference between answering it and not answering it is exactly what the
 cluster experiment measures:
 
@@ -99,8 +99,8 @@ class NoClusterRejuvenation(ClusterRejuvenationCoordinator):
 class UncoordinatedTimeBasedRejuvenation(ClusterRejuvenationCoordinator):
     """Each node independently restarts after a fixed uptime.
 
-    This is the per-node :class:`TimeBasedRejuvenationPolicy` applied with no
-    fleet awareness: a node that reaches ``interval_seconds`` of uptime drains
+    This is the classic single-server time-based rule applied with no fleet
+    awareness: a node that reaches ``interval_seconds`` of uptime drains
     immediately, regardless of how many of its peers are already down.
     """
 

@@ -12,8 +12,7 @@ the state machine around them:
     balancer sends it no new traffic.  After the drain window it restarts.
 ``RESTARTING``
     The node is down, either for the short *planned* rejuvenation downtime or
-    for the long *unplanned* crash recovery, mirroring the two downtime
-    classes of :mod:`repro.rejuvenation.simulator`.
+    for the long *unplanned* crash recovery.
 
 Each incarnation gets a derived seed, a fresh set of fault injectors from the
 node's injector factory and, when a fitted :class:`AgingPredictor` is
@@ -183,8 +182,9 @@ class ClusterNode:
         self._downtime_remaining = 0.0
         self._downtime_planned = False
 
-        # Lifetime accounting.
-        self.uptime_seconds = 0.0
+        # Lifetime accounting (the live incarnation's settlement carries the
+        # running uptime total; see the uptime_seconds property).
+        self._uptime_seconds = 0.0
         self.planned_downtime_seconds = 0.0
         self.unplanned_downtime_seconds = 0.0
         self.crashes = 0
@@ -251,6 +251,12 @@ class ClusterNode:
         return self.live and self.monitor is not None and self.monitor.alarm_raised
 
     @property
+    def uptime_seconds(self) -> float:
+        """Seconds the node has been up over its whole life."""
+        settlement = self.settlement
+        return self._uptime_seconds if settlement is None else settlement.uptime_seconds
+
+    @property
     def downtime_seconds(self) -> float:
         return self.planned_downtime_seconds + self.unplanned_downtime_seconds
 
@@ -303,7 +309,7 @@ class ClusterNode:
         # entry points are aliased straight onto the node so the engine pays
         # no extra indirection per routed request.
         self.settlement = TickSettlement(
-            self.simulation, base_tick=base_tick, on_uptime=self._ev_add_uptime
+            self.simulation, base_tick=base_tick, uptime_seconds=self._uptime_seconds
         )
         self.ev_serve_begin = self.settlement.serve_begin
         self.ev_note_request = self.settlement.note_request
@@ -333,9 +339,9 @@ class ClusterNode:
                 return self.advance_tick(tick_seconds)
             self._drain_remaining -= tick_seconds
 
-        assert self.simulation is not None
+        assert self.simulation is not None and self.settlement is not None
         self.simulation.begin_tick()
-        self.uptime_seconds += tick_seconds
+        self.settlement.uptime_seconds += tick_seconds
         return True
 
     def begin_drain(self) -> None:
@@ -391,6 +397,7 @@ class ClusterNode:
         # Release the dead incarnation's settlement too: it (and the aliased
         # bound methods) would otherwise pin the whole retired simulation for
         # the downtime.  Every event-path caller guards on live/ACTIVE state.
+        self._uptime_seconds = self.settlement.uptime_seconds
         self.settlement = None
         del self.ev_serve_begin, self.ev_note_request, self.ev_sync_begin, self.ev_settle_open
 
@@ -505,18 +512,6 @@ class ClusterNode:
     def ev_transition_tick(self) -> int | None:
         """Scheduled lifecycle transition: drain expiry or restart completion."""
         return self._ev_transition_tick
-
-    def _ev_add_uptime(self, ticks: int) -> None:
-        """Charge ``ticks`` live ticks of uptime, bit-for-bit like per-tick adds."""
-        tick = self.config.tick_seconds
-        if tick == 1.0:
-            # Integer-valued accumulator: one add equals `ticks` unit adds.
-            self.uptime_seconds += float(ticks)
-        else:
-            uptime = self.uptime_seconds
-            for _ in range(ticks):
-                uptime += tick
-            self.uptime_seconds = uptime
 
     def ev_next_mark_tick(self) -> int | None:
         """Estimated cluster tick of the next monitoring mark (live nodes)."""

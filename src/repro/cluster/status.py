@@ -5,8 +5,7 @@ serving capacity and request counts, and the aggregator folds them into the
 quantities a service-status dashboard would show -- capacity-weighted
 availability, full-outage and degraded-capacity seconds, the worst observed
 capacity, and request success rates.  ``outcome()`` freezes everything into a
-:class:`ClusterOutcome`, the fleet-level analogue of the single-server
-:class:`repro.rejuvenation.simulator.RejuvenationOutcome`.
+:class:`ClusterOutcome`, with one :class:`NodeOutcome` per server.
 
 Availability here is *capacity weighted*: a 3-node fleet running 2 nodes for
 an hour banked 2/3 of an hour of availability.  This is the natural extension
@@ -17,22 +16,13 @@ coordinated rolling rejuvenation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.telemetry.sinks import canonical_json
+
 __all__ = ["NodeOutcome", "ClusterOutcome", "FleetStatus"]
-
-
-def _canonical_json(payload: dict) -> str:
-    """Canonical JSON: sorted keys, tight separators, NaN/Inf rejected.
-
-    The same conventions as ``RunResult.to_json`` and the telemetry sidecars
-    (this module must stay importable without the API layer, so the rule is
-    restated rather than imported).
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _finite(value: float, field: str) -> float:
@@ -178,7 +168,7 @@ class ClusterOutcome:
 
     def to_json(self) -> str:
         """Canonical byte-stable JSON (sorted keys, no NaN; RunResult rules)."""
-        return _canonical_json(self.to_dict())
+        return canonical_json(self.to_dict())
 
     def summary(self) -> str:
         return (

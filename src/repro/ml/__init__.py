@@ -18,36 +18,19 @@ Public learners
     The paper's chosen learner: a binary decision tree whose leaves hold
     linear models, grown with the standard-deviation-reduction criterion,
     pruned bottom-up and optionally smoothed.
-``ARModel`` / ``ARMAModel``
-    Time-series baselines in the spirit of Li, Vaidyanathan & Trivedi [26].
 ``NaiveSlopePredictor``
     The analytic Equation (1) predictor: remaining resource divided by the
     recent consumption speed.
 """
 
-from repro.ml.arma import ARMAModel, ARModel
 from repro.ml.linear_regression import LinearRegressionModel
 from repro.ml.m5p import M5PModelTree
-from repro.ml.metrics import (
-    mean_absolute_error,
-    mean_squared_error,
-    pearson_correlation,
-    r_squared,
-    root_mean_squared_error,
-)
 from repro.ml.naive import NaiveSlopePredictor
 from repro.ml.regression_tree import RegressionTree
 
 __all__ = [
-    "ARModel",
-    "ARMAModel",
     "LinearRegressionModel",
     "M5PModelTree",
     "NaiveSlopePredictor",
     "RegressionTree",
-    "mean_absolute_error",
-    "mean_squared_error",
-    "pearson_correlation",
-    "r_squared",
-    "root_mean_squared_error",
 ]

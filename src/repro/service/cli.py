@@ -24,7 +24,6 @@ non-zero exit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.experiments.cluster import FLEET_ENGINES
@@ -37,6 +36,7 @@ from repro.service.session import (
     build_service_manifest,
     replay_session,
 )
+from repro.telemetry import canonical_json
 
 __all__ = ["add_serve_arguments", "command_serve"]
 
@@ -110,13 +110,12 @@ def _command_replay(directory: str) -> int:
         recorded = SessionRecorder.read_outcome(directory)
     except (OSError, ValueError) as error:
         raise SystemExit(f"repro: {error}") from error
-    text = json.dumps(replayed, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    text = canonical_json(replayed)
     print(text)
     if recorded is None:
         print("no recorded outcome.json to compare against", file=sys.stderr)
         return 0
-    recorded_text = json.dumps(recorded, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    if recorded_text == text:
+    if canonical_json(recorded) == text:
         print(f"replay matches recorded outcome (digest {replayed['telemetry_digest'][:12]})",
               file=sys.stderr)
         return 0

@@ -34,6 +34,7 @@ from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.mutations import MutationError, MutationRefused
 from repro.service.session import SimulationSession
 from repro.telemetry.hub import SIM
+from repro.telemetry.sinks import canonical_json
 
 __all__ = ["FleetServiceServer", "serve_session"]
 
@@ -42,10 +43,8 @@ _STREAM_POLL_SECONDS = 0.05
 _STREAM_HEARTBEAT_SECONDS = 2.0
 
 
-def _canonical(payload: object) -> bytes:
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    ).encode("utf-8")
+def _json_line(payload: object) -> bytes:
+    return (canonical_json(payload) + "\n").encode("utf-8")
 
 
 class FleetServiceServer(ThreadingHTTPServer):
@@ -80,7 +79,7 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, payload: object, status: int = 200) -> None:
-        self._send_bytes(_canonical(payload), status=status)
+        self._send_bytes(_json_line(payload), status=status)
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
@@ -218,7 +217,7 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
                     "run": event.run,
                     "data": dict(event.data),
                 }
-                self.wfile.write(b"data: " + _canonical(frame) + b"\n")
+                self.wfile.write(b"data: " + _json_line(frame) + b"\n")
                 emitted = True
             cursor = upper
             if emitted:

@@ -34,7 +34,7 @@ from repro.cluster.routing import AgingAwareRouting
 from repro.experiments.cluster import FLEET_ENGINES, build_cluster_engine, train_cluster_predictor
 from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
 from repro.service.mutations import MutationCommand, MutationRefused, apply_mutation, parse_mutation
-from repro.telemetry import Telemetry, write_sidecar, write_sidecar_text
+from repro.telemetry import Telemetry, canonical_json, write_sidecar, write_sidecar_text
 from repro.telemetry import runtime as telemetry_runtime
 from repro.testbed.timeline import first_tick_at_or_after
 
@@ -63,10 +63,6 @@ _COMMANDS_NAME = "commands.jsonl"
 _SNAPSHOTS_NAME = "snapshots.jsonl"
 _OUTCOME_NAME = "outcome.json"
 _TRACE_NAME = "trace.jsonl"
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # --------------------------------------------------------------- manifests
@@ -200,20 +196,20 @@ class SessionRecorder:
         return list(self._commands)
 
     def write_manifest(self, manifest: dict) -> None:
-        write_sidecar_text(_canonical(manifest) + "\n", self.directory / _MANIFEST_NAME)
+        write_sidecar_text(canonical_json(manifest) + "\n", self.directory / _MANIFEST_NAME)
 
     def record_command(self, command: MutationCommand) -> None:
         self._commands.append(command)
-        text = "".join(_canonical(entry.to_dict()) + "\n" for entry in self._commands)
+        text = "".join(canonical_json(entry.to_dict()) + "\n" for entry in self._commands)
         write_sidecar_text(text, self.directory / _COMMANDS_NAME)
 
     def record_snapshot(self, snapshot: dict) -> None:
         self._snapshots.append(snapshot)
-        text = "".join(_canonical(entry) + "\n" for entry in self._snapshots)
+        text = "".join(canonical_json(entry) + "\n" for entry in self._snapshots)
         write_sidecar_text(text, self.directory / _SNAPSHOTS_NAME)
 
     def write_outcome(self, payload: dict) -> None:
-        write_sidecar_text(_canonical(payload) + "\n", self.directory / _OUTCOME_NAME)
+        write_sidecar_text(canonical_json(payload) + "\n", self.directory / _OUTCOME_NAME)
 
     # ------------------------------------------------------------- reading
 

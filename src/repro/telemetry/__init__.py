@@ -38,6 +38,7 @@ from repro.telemetry.hub import ENGINE, PROFILE, SIM, Histogram, Telemetry, Trac
 from repro.telemetry.runtime import activate, active
 from repro.telemetry.sinks import (
     SIDECAR_SUFFIX,
+    canonical_json,
     envelope_path_for,
     read_sidecar,
     sidecar_digest,
@@ -60,6 +61,7 @@ __all__ = [
     "TraceEvent",
     "activate",
     "active",
+    "canonical_json",
     "envelope_path_for",
     "read_sidecar",
     "render_stats",

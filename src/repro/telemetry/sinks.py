@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.hub import Telemetry
 
 __all__ = [
+    "canonical_json",
     "trace_records",
     "trace_lines",
     "trace_text",
@@ -44,8 +45,14 @@ SIDECAR_SUFFIX = ".trace.jsonl"
 _DIGEST_ALGO = "sha256"
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def canonical_json(payload: object) -> str:
+    """The package's one canonical JSON text: sorted keys, no spaces, no NaN/Inf.
+
+    Trace lines and their digest, sweep content keys, fleet outcomes, service
+    session files, response bodies and replay output are all this encoding,
+    so any two equal payloads serialize to the same bytes.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _digest_view(record: dict) -> dict:
@@ -103,12 +110,12 @@ def trace_lines(telemetry: "Telemetry") -> list[str]:
     lines = []
     hasher = hashlib.sha256()
     for record in trace_records(telemetry):
-        lines.append(_canonical(record))
+        lines.append(canonical_json(record))
         if record["channel"] == SIM:
-            hasher.update(_canonical(_digest_view(record)).encode("utf-8"))
+            hasher.update(canonical_json(_digest_view(record)).encode("utf-8"))
             hasher.update(b"\n")
     lines.append(
-        _canonical(
+        canonical_json(
             {
                 "type": "digest",
                 "channel": SIM,
@@ -130,7 +137,7 @@ def trace_digest(telemetry: "Telemetry") -> str:
     hasher = hashlib.sha256()
     for record in trace_records(telemetry):
         if record["channel"] == SIM:
-            hasher.update(_canonical(_digest_view(record)).encode("utf-8"))
+            hasher.update(canonical_json(_digest_view(record)).encode("utf-8"))
             hasher.update(b"\n")
     return hasher.hexdigest()
 

@@ -4,8 +4,8 @@ One scheduler now serves both engines.  The machinery in this module was
 born inside the event-driven cluster engine (``repro.cluster``), where it
 fast-forwarded whole fleets from interesting event to interesting event; it
 was promoted here so that *stand-alone* testbed runs -- the paper's
-experiments 4.1-4.4, the rejuvenation simulator's epoch generation and every
-cluster training run -- ride the same fast path.
+experiments 4.1-4.4 and every cluster training run -- ride the same fast
+path.
 
 Two layers live here:
 
@@ -60,7 +60,6 @@ from bisect import bisect
 from heapq import heappop, heappush
 from math import ceil as _ceil
 from math import log as _log
-from typing import Callable
 
 from repro.testbed.errors import ServerCrash
 from repro.testbed.timeline import first_tick_at_or_after, ticks_until_nonpositive
@@ -119,15 +118,18 @@ class TickSettlement:
     base_tick:
         Scheduler tick at which the simulation's own clock was zero (0 for
         stand-alone runs; the rejoin tick for cluster-node incarnations).
-    on_uptime:
-        Optional callback invoked with every batch of clock ticks charged;
-        cluster nodes use it to accumulate their uptime bit-for-bit.
+    uptime_seconds:
+        Optional running uptime total that every clock tick charged is added
+        to, bit-for-bit like per-tick adds; cluster nodes seed it with their
+        lifetime uptime and read it back.  ``None`` (stand-alone runs) keeps
+        no total.  A number, not a callback into the node, so a settlement
+        never refers back to its owner.
     """
 
     __slots__ = (
         "sim",
         "base_tick",
-        "_on_uptime",
+        "uptime_seconds",
         "_os_tick",
         "_open_tick",
         "_open_reqs",
@@ -141,11 +143,11 @@ class TickSettlement:
         self,
         simulation: "TestbedSimulation",
         base_tick: int = 0,
-        on_uptime: Callable[[int], None] | None = None,
+        uptime_seconds: float | None = None,
     ) -> None:
         self.sim = simulation
         self.base_tick = base_tick
-        self._on_uptime = on_uptime
+        self.uptime_seconds = uptime_seconds
         #: Scheduler tick through which deferred per-tick OS updates settled.
         self._os_tick = base_tick
         #: Lite-begun tick awaiting settlement, and its served requests.
@@ -175,8 +177,20 @@ class TickSettlement:
         if ticks <= 0:
             return
         sim.clock.advance(ticks)
-        if self._on_uptime is not None:
-            self._on_uptime(ticks)
+        if self.uptime_seconds is not None:
+            self._charge_uptime(ticks)
+
+    def _charge_uptime(self, ticks: int) -> None:
+        """Add ``ticks`` ticks to the uptime total, bit-for-bit like per-tick adds."""
+        tick = self.sim.config.tick_seconds
+        if tick == 1.0:
+            # Integer-valued accumulator: one add equals `ticks` unit adds.
+            self.uptime_seconds += float(ticks)
+        else:
+            uptime = self.uptime_seconds
+            for _ in range(ticks):
+                uptime += tick
+            self.uptime_seconds = uptime
 
     # ------------------------------------------------------------ lite begins
 
@@ -394,8 +408,8 @@ class TickSettlement:
         if self._open_tick is None and not self._segments and self._os_tick == self.clock_tick():
             gap = j - self._os_tick - 1
             sample = sim.cluster_mark_tick(gap, workload_ebs)
-            if self._on_uptime is not None:
-                self._on_uptime(gap + 1)
+            if self.uptime_seconds is not None:
+                self._charge_uptime(gap + 1)
             self._os_tick = j
             return sample
         if self._open_tick == j:

@@ -2,7 +2,8 @@
 
 Reads never start an engine, a fleet with no elapsed time reports the same
 availability on every tier, both tiers the service runs answer its
-snapshot reads with the same keys, and a dropped engine is freed at once.
+snapshot reads with the same keys, and a dropped engine is freed at once,
+nodes and simulations included.
 """
 
 import gc
@@ -57,16 +58,22 @@ def test_both_served_tiers_answer_reads_with_the_same_keys():
 
 @pytest.mark.parametrize("fleet_engine", TIERS)
 def test_a_dropped_engine_is_freed_without_a_cyclic_collection(fleet_engine):
-    """Nothing an engine hands its nodes refers back to it, so a finished
-    engine and its browser population go as soon as the last reference does."""
+    """Nothing an engine hands its nodes refers back to it, and nothing a node
+    hands its settlement refers back to the node, so a finished engine, its
+    browser population, its nodes and their simulations go as soon as the
+    last reference does."""
     engine = _engine(fleet_engine)
     engine.mutate_leak_rates(memory_n=40)
     engine.step(60)
     engine.finish()
-    dropped = weakref.ref(engine)
+    dropped = {"engine": weakref.ref(engine)}
+    if fleet_engine != "fluid":  # the exact tiers run one ClusterNode per server
+        node = engine.nodes[0]
+        dropped.update(node=weakref.ref(node), simulation=weakref.ref(node.simulation))
+        del node
     gc.disable()
     try:
         del engine
-        assert dropped() is None
+        assert [name for name, ref in dropped.items() if ref() is not None] == []
     finally:
         gc.enable()

@@ -1,22 +1,9 @@
-"""Tests for the on-line monitor and the prediction-board ensemble."""
+"""Tests for the on-line monitor."""
 
-import numpy as np
 import pytest
 
-from repro.core.ensemble import PredictionBoard
 from repro.core.online import OnlineAgingMonitor
 from repro.core.predictor import AgingPredictor
-
-
-@pytest.fixture(scope="module")
-def fitted_members(m5p_predictor, training_traces):
-    """M5P, linear and tree members already fitted on the training traces.
-
-    A board is fitted when its members are, so the tests that read a board
-    share these; ``test_board_trains_all_members`` covers ``board.fit``.
-    """
-    others = [AgingPredictor(model=model).fit(training_traces) for model in ("linear", "tree")]
-    return [m5p_predictor, *others]
 
 
 class TestOnlineAgingMonitor:
@@ -84,54 +71,3 @@ class TestOnlineAgingMonitor:
             OnlineAgingMonitor(m5p_predictor, alarm_threshold_seconds=0.0)
         with pytest.raises(ValueError):
             OnlineAgingMonitor(m5p_predictor, alarm_consecutive=0)
-
-
-class TestPredictionBoard:
-    def test_board_trains_all_members(self, training_traces):
-        board = PredictionBoard([AgingPredictor(model="m5p"), AgingPredictor(model="linear")])
-        board.fit(training_traces)
-        assert board.is_fitted
-
-    def test_consensus_prediction_shape(self, fitted_members, test_trace):
-        board = PredictionBoard(fitted_members)
-        consensus = board.predict_trace(test_trace)
-        assert consensus.shape == (len(test_trace),)
-        members = board.member_predictions(test_trace)
-        assert members.shape == (3, len(test_trace))
-
-    def test_median_consensus_bounded_by_members(self, fitted_members, test_trace):
-        board = PredictionBoard(fitted_members)
-        members = board.member_predictions(test_trace)
-        consensus = board.predict_trace(test_trace)
-        assert np.all(consensus >= members.min(axis=0) - 1e-9)
-        assert np.all(consensus <= members.max(axis=0) + 1e-9)
-
-    def test_mean_consensus_differs_from_median(self, fitted_members, test_trace):
-        median_board = PredictionBoard(fitted_members, consensus="median")
-        mean_board = PredictionBoard(fitted_members, consensus="mean")
-        # Members are shared and already fitted, so both boards are fitted.
-        assert median_board.is_fitted and mean_board.is_fitted
-        assert not np.allclose(median_board.predict_trace(test_trace), mean_board.predict_trace(test_trace))
-
-    def test_board_evaluation(self, fitted_members, test_trace):
-        board = PredictionBoard(fitted_members[:2])
-        consensus_eval = board.evaluate_trace(test_trace)
-        member_evals = board.evaluate_members(test_trace)
-        assert len(member_evals) == 2
-        assert consensus_eval.mae_seconds <= max(e.mae_seconds for e in member_evals) + 1e-9
-
-    def test_unfitted_board_rejects_prediction(self, test_trace):
-        board = PredictionBoard([AgingPredictor(model="m5p")])
-        with pytest.raises(RuntimeError):
-            board.predict_trace(test_trace)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictionBoard([])
-        with pytest.raises(ValueError):
-            PredictionBoard([AgingPredictor()], consensus="vote")
-
-    def test_evaluation_requires_crash(self, training_traces, healthy_trace):
-        board = PredictionBoard([AgingPredictor(model="linear")]).fit(training_traces)
-        with pytest.raises(ValueError):
-            board.evaluate_trace(healthy_trace)

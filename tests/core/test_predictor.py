@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import build_dataset
-from repro.core.feature_selection import (
-    VARIABLE_GROUPS,
-    correlation_ranking,
-    select_by_group,
-    select_heap_variables,
-    top_k_features,
-)
+from repro.core.feature_selection import VARIABLE_GROUPS, select_by_group, select_heap_variables
 from repro.core.features import FeatureCatalog
 from repro.core.predictor import AgingPredictor
 from repro.core.root_cause import analyse_root_cause
@@ -125,24 +119,6 @@ class TestFeatureSelection:
     def test_unknown_group_rejected(self):
         with pytest.raises(KeyError):
             select_by_group("gpu")
-
-    def test_correlation_ranking_orders_by_relevance(self, training_traces):
-        dataset = build_dataset(training_traces)
-        ranking = correlation_ranking(dataset)
-        assert len(ranking) == dataset.num_features
-        scores = [score for _name, score in ranking]
-        assert scores == sorted(scores, reverse=True)
-        # Memory-related variables must rank above pure workload constants for
-        # a memory-leak experiment.
-        names_in_order = [name for name, _score in ranking]
-        assert names_in_order.index("old_used_mb") < names_in_order.index("workload_ebs")
-
-    def test_top_k_features(self, training_traces):
-        dataset = build_dataset(training_traces)
-        top = top_k_features(dataset, 5)
-        assert len(top) == 5
-        with pytest.raises(ValueError):
-            top_k_features(dataset, 0)
 
 
 def _non_heap_features():

@@ -1,15 +1,23 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, or a ``repro`` name that is gone.
 
 An AST scan of every Python file under ``src/``, ``tests/``, ``benchmarks/``
-and ``examples/``: each name an ``import`` binds must be read somewhere in
-the same module -- in code, in an annotation (string annotations included)
-or in ``__all__``.  Package ``__init__.py`` files are skipped, since their
-imports are the package's re-exports.
+and ``examples/``:
+
+* each name an ``import`` binds must be read somewhere in the same module --
+  in code, in an annotation (string annotations included) or in
+  ``__all__``.  Package ``__init__.py`` files are skipped, since their
+  imports are the package's re-exports;
+* every ``import repro...`` and ``from repro... import name`` must resolve,
+  wherever it sits: in a function body, under ``TYPE_CHECKING`` or in an
+  ``__init__.py``.  Lazy imports only fail when their code runs, and the
+  examples and most benchmark bodies never run in the test suite.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -84,18 +92,63 @@ def unused_imports(path: Path, root: Path = ROOT) -> list[str]:
     ]
 
 
-def _modules() -> list[Path]:
-    return sorted(
-        path
-        for directory in SCANNED
-        for path in (ROOT / directory).rglob("*.py")
-        if path.name != "__init__.py"
-    )
+def _repro_imports(tree: ast.Module) -> list[tuple[int, str, str | None]]:
+    """``(line, module, imported name or None)`` of every absolute ``repro`` import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                (node.lineno, alias.name, None)
+                for alias in node.names
+                if alias.name.split(".")[0] == "repro"
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "repro":
+                found += [(node.lineno, node.module, alias.name) for alias in node.names]
+    return found
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    """Whether ``import module`` / ``from module import name`` would succeed."""
+    try:
+        loaded = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or name == "*" or hasattr(loaded, name):
+        return True
+    try:
+        return importlib.util.find_spec(f"{module}.{name}") is not None
+    except ImportError:  # ``module`` is not a package
+        return False
+
+
+def dangling_imports(path: Path, root: Path = ROOT) -> list[str]:
+    """``<path>:<line> <import>`` for every ``repro`` import of ``path`` that fails."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(root)}:{line} {module}" + ("" if name is None else f" import {name}")
+        for line, module, name in _repro_imports(tree)
+        if not _resolves(module, name)
+    ]
+
+
+def _sources() -> list[Path]:
+    return sorted(path for directory in SCANNED for path in (ROOT / directory).rglob("*.py"))
 
 
 def test_no_module_has_an_unused_import():
-    unused = [entry for path in _modules() for entry in unused_imports(path)]
+    unused = [
+        entry
+        for path in _sources()
+        if path.name != "__init__.py"
+        for entry in unused_imports(path)
+    ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_repro_import_resolves():
+    dangling = [entry for path in _sources() for entry in dangling_imports(path)]
+    assert not dangling, "imports that do not resolve:\n" + "\n".join(dangling)
 
 
 @pytest.mark.parametrize(
@@ -115,4 +168,27 @@ def test_scanner_reads_uses_the_way_python_does(tmp_path, source, expected):
     module = tmp_path / "module.py"
     module.write_text(source)
     found = [entry.rsplit(" ", 1)[1] for entry in unused_imports(module, root=tmp_path)]
+    assert found == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import repro.ml.m5p\n", []),
+        ("from repro.ml import M5PModelTree\n", []),
+        ("from repro.api import cli\n", []),
+        ("import os\nfrom collections import NoSuchName\n", []),
+        ("import repro.no_such_module\n", ["repro.no_such_module"]),
+        ("from repro.no_such_module import name\n", ["repro.no_such_module import name"]),
+        ("from repro.ml.m5p import no_such_name\n", ["repro.ml.m5p import no_such_name"]),
+        (
+            "def main():\n    from repro.core import NoSuchName\n",
+            ["repro.core import NoSuchName"],
+        ),
+    ],
+)
+def test_resolver_flags_dangling_repro_imports(tmp_path, source, expected):
+    module = tmp_path / "__init__.py"
+    module.write_text(source)
+    found = [entry.split(" ", 1)[1] for entry in dangling_imports(module, root=tmp_path)]
     assert found == expected
