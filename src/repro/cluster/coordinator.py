@@ -73,15 +73,13 @@ class ClusterRejuvenationCoordinator(abc.ABC):
     def decide(self, now_seconds: float, nodes: Sequence["ClusterNode"]) -> list["ClusterNode"]:
         """Return the nodes that should begin draining at ``now_seconds``."""
 
-    def next_decision_tick(
-        self, now_tick: int, tick_seconds: float, nodes: Sequence["ClusterNode"]
-    ) -> int | None:
+    def next_decision_tick(self, now_tick: int, nodes: Sequence["ClusterNode"]) -> int | None:
         """Earliest future tick at which the decision may change on its own.
 
         ``None`` means the coordinator only reacts to fleet events (the
-        default).  Implementations must use the exact ``ticks x
-        tick_seconds`` product comparisons of the simulation clocks so the
-        announced tick matches the tick a per-second loop would trigger on.
+        default).  Implementations must make the whole-second comparisons of
+        the simulation clocks so the announced tick matches the tick a
+        per-second loop would trigger on.
         """
         return None
 
@@ -118,22 +116,20 @@ class UncoordinatedTimeBasedRejuvenation(ClusterRejuvenationCoordinator):
             if node.state is NodeState.ACTIVE and node.current_uptime_seconds >= self.interval_seconds
         ]
 
-    def next_decision_tick(
-        self, now_tick: int, tick_seconds: float, nodes: Sequence["ClusterNode"]
-    ) -> int | None:
+    def next_decision_tick(self, now_tick: int, nodes: Sequence["ClusterNode"]) -> int | None:
         """The earliest tick at which an active node's uptime crosses the interval.
 
         A node's uptime at cluster tick ``k`` is exactly
-        ``(k - incarnation_begun) * tick_seconds`` -- the same product its
-        simulation clock computes -- so the crossing tick found with those
-        comparisons is the tick :meth:`decide` first triggers on.
+        ``k - incarnation_begun`` seconds -- what its simulation clock
+        reads -- so the crossing tick found with that comparison is the tick
+        :meth:`decide` first triggers on.
         """
         earliest: int | None = None
         for node in nodes:
             if node.state is not NodeState.ACTIVE:
                 continue
             base = node.ev_incarnation_begun_tick
-            k = max(base + first_tick_at_or_after(self.interval_seconds, tick_seconds), now_tick + 1)
+            k = max(base + first_tick_at_or_after(self.interval_seconds), now_tick + 1)
             if earliest is None or k < earliest:
                 earliest = k
         return earliest

@@ -23,15 +23,14 @@ tick-everything loop, which the test suite keeps as its reference
 (``tests/cluster/oracle.py``); the per-tick node primitives that loop drives
 (``ClusterNode.advance_tick`` / ``end_tick``) stay on the node for it.
 
-The bit-for-bit guarantee holds for the shipped tick size (1 second) and,
-more generally, whenever per-tick float accumulation equals its batched
-form; the event machinery replays every countdown with the exact helpers of
-:mod:`repro.testbed.timeline` rather than trusting algebraic shortcuts.
-The batched fast-forward itself (lite begins, ``(footprint, busy)``
-segments, deferred OS settlement, fused marks) lives in the shared
-scheduler :mod:`repro.testbed.events` -- the same core that drives
-stand-alone ``TestbedSimulation`` runs -- with :class:`ClusterNode` adding
-only the fleet lifecycle on top.
+The bit-for-bit guarantee rests on the one-second tick: every countdown
+resolves to its exact tick with the helpers of :mod:`repro.testbed.timeline`,
+and every time accumulator holds whole seconds, so one batched add equals
+its per-tick adds.  The batched fast-forward itself (lite begins,
+``(footprint, busy)`` segments, deferred OS settlement, fused marks) lives
+in the shared scheduler :mod:`repro.testbed.events` -- the same core that
+drives stand-alone ``TestbedSimulation`` runs -- with :class:`ClusterNode`
+adding only the fleet lifecycle on top.
 
 The engine redistributes workload automatically at every membership change:
 
@@ -66,7 +65,7 @@ from repro.testbed.events import next_fire_tick
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.thread_leak import ThreadLeakInjector
 from repro.testbed.timeline import first_tick_at_or_after, ticks_until_nonpositive
-from repro.testbed.clock import SimulationClock
+from repro.testbed.clock import TICK_SECONDS, SimulationClock
 from repro.testbed.config import TestbedConfig
 from repro.testbed.errors import ServerCrash
 from repro.testbed.tpcw.workload import WorkloadGenerator, WorkloadMix
@@ -156,12 +155,10 @@ class FleetEngine(abc.ABC):
         Fleet size.
     config:
         Testbed configuration shared by every node that has no entry in
-        ``node_configs`` (and the source of the cluster tick and the
-        workload think time).
+        ``node_configs`` (and the source of the workload think time).
     node_configs:
         Optional per-node testbed configurations for heterogeneous fleets
-        (mixed heap sizes, thread limits).  Must contain one entry per node
-        and agree with ``config`` on ``tick_seconds``.
+        (mixed heap sizes, thread limits).  Must contain one entry per node.
     total_ebs:
         Fleet-level TPC-W emulated-browser population; the load balancer
         spreads it across the accepting nodes.
@@ -234,9 +231,6 @@ class FleetEngine(abc.ABC):
             node_configs = list(node_configs)
             if len(node_configs) != num_nodes:
                 raise ValueError(f"node_configs must provide one configuration per node ({num_nodes})")
-            for node_config in node_configs:
-                if node_config.tick_seconds != self.config.tick_seconds:
-                    raise ValueError("every node must share the cluster's tick_seconds")
         self.num_nodes = num_nodes
         self.node_configs = node_configs
         self.total_ebs = total_ebs
@@ -308,7 +302,7 @@ class FleetEngine(abc.ABC):
             raise ValueError("max_seconds must be positive")
         if self._started or self._finished:
             raise RuntimeError("this cluster engine has already been run; create a new one")
-        self.step(first_tick_at_or_after(max_seconds, self.config.tick_seconds))
+        self.step(first_tick_at_or_after(max_seconds))
         return self.finish()
 
     # -------------------------------------------------------- incremental API
@@ -513,7 +507,7 @@ class FleetEngine(abc.ABC):
             {
                 "engine": type(self).__name__,
                 "tick": self._current_tick,
-                "sim_seconds": self._current_tick * self.config.tick_seconds,
+                "sim_seconds": self._current_tick * TICK_SECONDS,
                 "num_nodes": self.num_nodes,
                 "total_ebs": self.total_ebs,
                 "active_nodes": active,
@@ -579,7 +573,7 @@ class ClusterEngine(FleetEngine):
     """
 
     def _build(self) -> None:
-        self.clock = SimulationClock(self.config.tick_seconds)
+        self.clock = SimulationClock()
         #: Fleet-shared forecast epoch: every node bumps it in lockstep with
         #: its own ``forecast_version``, giving the aging-aware routing
         #: policy an O(1) "has anything changed?" check per request.
@@ -618,19 +612,14 @@ class ClusterEngine(FleetEngine):
 
     def _start(self) -> None:
         """Arm the initial wake events (first step of the event-driven engine)."""
-        tick = self.config.tick_seconds
         for index, browser in enumerate(self.workload.browser_population()):
             heapq.heappush(
                 self._browser_fires,
-                (
-                    ticks_until_nonpositive(browser.remaining_think_s, tick),
-                    browser.browser_id,
-                    index,
-                ),
+                (ticks_until_nonpositive(browser.remaining_think_s), browser.browser_id, index),
             )
         for node in self.nodes:
             self._schedule_node_wakes(node, floor_tick=1)
-        hint = self.coordinator.next_decision_tick(0, tick, self.nodes)
+        hint = self.coordinator.next_decision_tick(0, self.nodes)
         if hint is not None:
             # A hint at or before the current tick means "decide as soon as
             # possible": clamp to the next tick (the reference engine's
@@ -644,7 +633,6 @@ class ClusterEngine(FleetEngine):
         ticks, and the fleet clock is parked on the boundary so mutations
         applied between steps stamp the right tick.
         """
-        tick = self.config.tick_seconds
         current = self._current_tick
         while current < target:
             heads = []
@@ -654,11 +642,11 @@ class ClusterEngine(FleetEngine):
                 heads.append(self._events[0][0])
             upcoming = min(heads) if heads else None
             if upcoming is None or upcoming > target:
-                self.status.record_quiet_span(target - current, tick, self._active_count)
+                self.status.record_quiet_span(target - current, self._active_count)
                 current = target
                 break
             if upcoming > current + 1:
-                self.status.record_quiet_span(upcoming - 1 - current, tick, self._active_count)
+                self.status.record_quiet_span(upcoming - 1 - current, self._active_count)
             if self.telemetry is not None:
                 self.telemetry.count("cluster.event_ticks", channel=_ENGINE_CHANNEL)
                 self.telemetry.observe(
@@ -708,7 +696,6 @@ class ClusterEngine(FleetEngine):
         sampling, prediction), then the fleet status record, then the
         coordinator's drain decisions.
         """
-        tick = self.config.tick_seconds
         self.clock.advance(current - self.clock.ticks)
         now = self.clock.now
         nodes = self.nodes
@@ -800,7 +787,7 @@ class ClusterEngine(FleetEngine):
                 think_time = browser.complete_request_and_rethink()
                 heapq.heappush(
                     browser_fires,
-                    (next_fire_tick(current, response_time, think_time, tick), browser_id, index),
+                    (next_fire_tick(current, response_time, think_time), browser_id, index),
                 )
 
         # -- drive the scheduled injector events
@@ -839,16 +826,12 @@ class ClusterEngine(FleetEngine):
                 sample = node.ev_mark(current, allocations.get(node_id, 0))
                 if sample is not None:
                     decide_needed = True
-                    if tick == 1.0:
-                        # One-second ticks make the cadence exact in whole ticks.
-                        heappush(events, (current + node.ev_mark_interval_ticks, _MARK, node_id))
-                        continue
-                mark = node.ev_next_mark_tick()
-                if mark is not None:
-                    heappush(events, (max(mark, current + 1), _MARK, node_id))
+                    heappush(events, (current + node.ev_mark_interval_ticks, _MARK, node_id))
+                else:
+                    heappush(events, (max(node.ev_next_mark_tick(), current + 1), _MARK, node_id))
 
         # -- fleet accounting for this tick
-        self.status.record_tick(tick, self._active_count, served=served, dropped=dropped)
+        self.status.record_tick(self._active_count, served=served, dropped=dropped)
 
         # -- coordinator decisions (the reference decides every tick; the
         #    built-in coordinators only change their answer at these ticks)
@@ -862,7 +845,7 @@ class ClusterEngine(FleetEngine):
                 heapq.heappush(self._events, (drain_transition, _TRANSITION, node.node_id))
                 self._active_count -= 1
                 self._candidates = None
-            hint = self.coordinator.next_decision_tick(current, tick, self.nodes)
+            hint = self.coordinator.next_decision_tick(current, self.nodes)
             if hint is not None:
                 # Same clamp as at initialisation: a stale or immediate hint
                 # degrades to deciding again next tick, never to a missed or
@@ -880,13 +863,12 @@ class ClusterEngine(FleetEngine):
         the engine schedules its first fire accordingly.
         """
         j = self._current_tick
-        tick = self.config.tick_seconds
         old_count = self.workload.num_browsers
         self.workload.set_num_browsers(total_ebs)
         browsers = self.workload.browser_population()
         for index in range(old_count, len(browsers)):
             browser = browsers[index]
-            first = j + ticks_until_nonpositive(browser.remaining_think_s, tick)
+            first = j + ticks_until_nonpositive(browser.remaining_think_s)
             heapq.heappush(
                 self._browser_fires, (max(first, j + 1), browser.browser_id, index)
             )

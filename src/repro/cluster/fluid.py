@@ -53,6 +53,7 @@ from repro.cluster.node import NodeState
 from repro.cluster.routing import AgingAwareRouting, LeastConnectionsRouting, RoundRobinRouting
 from repro.cluster.status import NodeOutcome
 from repro.core.features import RAW_VARIABLES, FeatureBank
+from repro.testbed.clock import TICK_SECONDS
 from repro.testbed.errors import ServerCrash
 from repro.testbed.fluid import FluidFleet, leak_rates_from_injectors, mix_stats
 from repro.testbed.timeline import first_tick_at_or_after
@@ -142,13 +143,10 @@ class FluidClusterEngine(FleetEngine):
         # read) without replaying.  The single ``PCG64`` stream is consumed
         # in a fixed per-tick order, which makes any chunking of ``step``
         # calls byte-identical to one batch run.
-        tick = self.config.tick_seconds
-        self._mark_ticks = max(1, first_tick_at_or_after(self.config.monitoring_interval_s, tick))
-        self._drain_ticks = max(1, first_tick_at_or_after(self.drain_seconds, tick))
-        self._rejuvenation_ticks = max(
-            1, first_tick_at_or_after(self.rejuvenation_downtime_seconds, tick)
-        )
-        self._crash_ticks = max(1, first_tick_at_or_after(self.crash_downtime_seconds, tick))
+        self._mark_ticks = max(1, first_tick_at_or_after(self.config.monitoring_interval_s))
+        self._drain_ticks = max(1, first_tick_at_or_after(self.drain_seconds))
+        self._rejuvenation_ticks = max(1, first_tick_at_or_after(self.rejuvenation_downtime_seconds))
+        self._crash_ticks = max(1, first_tick_at_or_after(self.crash_downtime_seconds))
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         self._ids = np.arange(n)
 
@@ -159,7 +157,7 @@ class FluidClusterEngine(FleetEngine):
             self.coordinator if isinstance(self.coordinator, RollingPredictiveRejuvenation) else None
         )
         self._interval_ticks = (
-            max(1, first_tick_at_or_after(self._time_based.interval_seconds, tick))
+            max(1, first_tick_at_or_after(self._time_based.interval_seconds))
             if self._time_based
             else 0
         )
@@ -206,7 +204,6 @@ class FluidClusterEngine(FleetEngine):
 
     def _run_tick(self, tick_index: int) -> None:
         n = self.num_nodes
-        tick = self.config.tick_seconds
         state = self._state
         planned = self._planned
         transition_tick = self._transition_tick
@@ -289,15 +286,15 @@ class FluidClusterEngine(FleetEngine):
 
         # ----- arrivals: one vectorized Poisson draw for the whole fleet
         live = state != _RESTARTING
-        lam = self.fleet.arrival_rate(allocation.astype(float)) * tick
+        lam = self.fleet.arrival_rate(allocation.astype(float))
         arrivals = rng.poisson(lam).astype(float)
         if not (state == _ACTIVE).any():
-            dropped = int(rng.poisson(self._outage_rate * tick))
+            dropped = int(rng.poisson(self._outage_rate))
         else:
             dropped = 0
 
         # ----- physics settlement and crash masks
-        crashed = self.fleet.step(live, arrivals, tick)
+        crashed = self.fleet.step(live, arrivals)
         served_tick = int(arrivals.sum())
         self._served_node += arrivals.astype(np.int64)
         if crashed.any():
@@ -313,12 +310,12 @@ class FluidClusterEngine(FleetEngine):
         if self._uses_marks:
             marking = live & (next_mark == tick_index)
             if marking.any():
-                raw = self.fleet.sample_fields(marking, self._mark_ticks * tick, allocation)
+                raw = self.fleet.sample_fields(marking, float(self._mark_ticks), allocation)
                 if bank is not None and self.predictor is not None:
                     due_idx = ids[marking]
                     rows = bank.push(
                         due_idx,
-                        tick_index * tick,
+                        float(tick_index),
                         np.column_stack([raw[name][due_idx] for name in RAW_VARIABLES]),
                     )
                     forecasts = self.predictor.predict_matrix(rows)
@@ -339,16 +336,16 @@ class FluidClusterEngine(FleetEngine):
             # a later consumer change cannot silently alter rates.
             marking = live & (next_mark == tick_index)
             if marking.any():
-                self.fleet.sample_fields(marking, self._mark_ticks * tick, allocation)
+                self.fleet.sample_fields(marking, float(self._mark_ticks), allocation)
                 next_mark[marking] += self._mark_ticks
 
         # ----- accounting
         active_count = int((state == _ACTIVE).sum())
-        self.status.record_tick(tick, active_count, served_tick, dropped)
-        self._uptime[live] += tick
+        self.status.record_tick(active_count, served_tick, dropped)
+        self._uptime[live] += TICK_SECONDS
         down = ~live
-        self._planned_down[down & planned] += tick
-        self._unplanned_down[down & ~planned] += tick
+        self._planned_down[down & planned] += TICK_SECONDS
+        self._unplanned_down[down & ~planned] += TICK_SECONDS
 
     # ------------------------------------------------------------- mutations
     #
@@ -412,7 +409,6 @@ class FluidClusterEngine(FleetEngine):
 
     def node_snapshots(self) -> list[dict]:
         """Read-only per-node status dicts (same keys as ``ClusterNode.status_dict``)."""
-        tick = self.config.tick_seconds
         state_names = ("active", "draining", "restarting")
         snapshots = []
         for node_id in range(self.num_nodes):
@@ -432,7 +428,7 @@ class FluidClusterEngine(FleetEngine):
                     "alarm": bool(self._alarm[node_id]),
                     "incarnation": int(self._crashes[node_id] + self._rejuvenations[node_id]),
                     "current_uptime_seconds": (
-                        (self._current_tick - int(self._incarnation_tick[node_id])) * tick
+                        float(self._current_tick - int(self._incarnation_tick[node_id]))
                         if live
                         else 0.0
                     ),

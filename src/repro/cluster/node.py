@@ -52,8 +52,8 @@ from repro.testbed.errors import ServerCrash
 from repro.testbed.events import TickSettlement
 from repro.testbed.faults.injector import FaultInjector
 from repro.testbed.monitoring.collector import MonitoringSample, Trace
-from repro.testbed.clock import SimulationClock
-from repro.testbed.timeline import countdown_after, ticks_until_nonpositive
+from repro.testbed.clock import TICK_SECONDS, SimulationClock
+from repro.testbed.timeline import ticks_until_nonpositive
 from repro.testbed.tpcw.interactions import Interaction
 from repro.cluster.routing import RoutingEpoch
 from repro.telemetry import runtime as telemetry_runtime
@@ -182,9 +182,9 @@ class ClusterNode:
         self._downtime_remaining = 0.0
         self._downtime_planned = False
 
-        # Lifetime accounting (the live incarnation's settlement carries the
-        # running uptime total; see the uptime_seconds property).
-        self._uptime_seconds = 0.0
+        # Lifetime accounting (the live incarnation's clock carries its own
+        # uptime; see the uptime_seconds property).
+        self._finished_uptime_seconds = 0.0
         self.planned_downtime_seconds = 0.0
         self.unplanned_downtime_seconds = 0.0
         self.crashes = 0
@@ -252,9 +252,15 @@ class ClusterNode:
 
     @property
     def uptime_seconds(self) -> float:
-        """Seconds the node has been up over its whole life."""
-        settlement = self.settlement
-        return self._uptime_seconds if settlement is None else settlement.uptime_seconds
+        """Seconds the node has been up over its whole life.
+
+        Finished incarnations plus the live one's clock, which has advanced
+        one second for every tick the incarnation has been up.
+        """
+        simulation = self.simulation
+        if simulation is None:
+            return self._finished_uptime_seconds
+        return self._finished_uptime_seconds + simulation.clock.now
 
     @property
     def downtime_seconds(self) -> float:
@@ -308,15 +314,13 @@ class ClusterNode:
         # Fresh shared-scheduler settlement for the incarnation; the hottest
         # entry points are aliased straight onto the node so the engine pays
         # no extra indirection per routed request.
-        self.settlement = TickSettlement(
-            self.simulation, base_tick=base_tick, uptime_seconds=self._uptime_seconds
-        )
+        self.settlement = TickSettlement(self.simulation, base_tick=base_tick)
         self.ev_serve_begin = self.settlement.serve_begin
         self.ev_note_request = self.settlement.note_request
         self.ev_sync_begin = self.settlement.sync_begin
         self.ev_settle_open = self.settlement.settle_open
 
-    def advance_tick(self, tick_seconds: float) -> bool:
+    def advance_tick(self) -> bool:
         """Advance the node's lifecycle by one cluster tick.
 
         Returns whether the node is live (and had its simulation's tick
@@ -326,22 +330,21 @@ class ClusterNode:
         """
         if self.state is NodeState.RESTARTING:
             if self._downtime_remaining > 0:
-                self._downtime_remaining -= tick_seconds
+                self._downtime_remaining -= TICK_SECONDS
                 if self._downtime_planned:
-                    self.planned_downtime_seconds += tick_seconds
+                    self.planned_downtime_seconds += TICK_SECONDS
                 else:
-                    self.unplanned_downtime_seconds += tick_seconds
+                    self.unplanned_downtime_seconds += TICK_SECONDS
                 return False
             self._start_incarnation()
         elif self.state is NodeState.DRAINING:
             if self._drain_remaining <= 0:
                 self._enter_restart(planned=True)
-                return self.advance_tick(tick_seconds)
-            self._drain_remaining -= tick_seconds
+                return self.advance_tick()
+            self._drain_remaining -= TICK_SECONDS
 
-        assert self.simulation is not None and self.settlement is not None
+        assert self.simulation is not None
         self.simulation.begin_tick()
-        self.settlement.uptime_seconds += tick_seconds
         return True
 
     def begin_drain(self) -> None:
@@ -390,6 +393,7 @@ class ClusterNode:
         self._tel_event(
             "restart_begin", planned=planned, downtime=self._downtime_remaining
         )
+        self._finished_uptime_seconds += self.simulation.clock.now
         self.simulation = None
         self.monitor = None
         self.latest_prediction = None
@@ -397,7 +401,6 @@ class ClusterNode:
         # Release the dead incarnation's settlement too: it (and the aliased
         # bound methods) would otherwise pin the whole retired simulation for
         # the downtime.  Every event-path caller guards on live/ACTIVE state.
-        self._uptime_seconds = self.settlement.uptime_seconds
         self.settlement = None
         del self.ev_serve_begin, self.ev_note_request, self.ev_sync_begin, self.ev_settle_open
 
@@ -492,9 +495,9 @@ class ClusterNode:
     # the shared scheduler's job -- see repro.testbed.events.TickSettlement,
     # whose hottest methods are aliased onto the node in _start_incarnation.
     # What remains here is the lifecycle the settlement cannot know about:
-    # uptime charged per live tick, downtime charged lazily per down tick,
-    # and the drain/restart transitions resolved into absolute ticks with
-    # the exact replay helpers of repro.testbed.timeline.
+    # downtime charged lazily per down tick and the drain/restart
+    # transitions resolved into absolute ticks with the exact countdown
+    # helpers of repro.testbed.timeline.
 
     @property
     def ev_incarnation_begun_tick(self) -> int:
@@ -504,7 +507,7 @@ class ClusterNode:
 
     @property
     def ev_mark_interval_ticks(self) -> int:
-        """Monitoring cadence in whole ticks (exact for the 1-second tick)."""
+        """Monitoring cadence in whole ticks."""
         assert self.settlement is not None
         return self.settlement.mark_interval_ticks
 
@@ -547,7 +550,7 @@ class ClusterNode:
         """
         self.begin_drain()
         self._ev_drain_started = j
-        draining_ticks = ticks_until_nonpositive(self.drain_seconds, self.config.tick_seconds)
+        draining_ticks = ticks_until_nonpositive(self.drain_seconds)
         self._ev_transition_tick = j + draining_ticks + 1
         return self._ev_transition_tick
 
@@ -567,8 +570,7 @@ class ClusterNode:
         settlement.replay_os_to(j - 1)
         settlement.advance_clock_to(j)
         self.record_crash(crash)
-        tick = self.config.tick_seconds
-        down_ticks = ticks_until_nonpositive(self._downtime_remaining, tick)
+        down_ticks = ticks_until_nonpositive(self._downtime_remaining)
         self._ev_downtime_charged_to = j  # first charged tick is j + 1
         self._ev_transition_tick = j + 1 + down_ticks
         return self._ev_transition_tick
@@ -586,8 +588,7 @@ class ClusterNode:
         assert settlement is not None
         settlement.settle_through(j)
         self.record_crash(crash)
-        tick = self.config.tick_seconds
-        down_ticks = ticks_until_nonpositive(self._downtime_remaining, tick)
+        down_ticks = ticks_until_nonpositive(self._downtime_remaining)
         self._ev_downtime_charged_to = j  # first charged tick is j + 1
         self._ev_transition_tick = j + 1 + down_ticks
         return self._ev_transition_tick
@@ -600,17 +601,15 @@ class ClusterNode:
         the node down and schedules the restart-completion transition.
         """
         assert self._ev_transition_tick == j
-        tick = self.config.tick_seconds
         if self.state is NodeState.DRAINING:
             # Reference: advance_tick at j sees the drain budget exhausted,
             # enters the planned restart and immediately charges tick j as
             # the first downtime tick (the recursive advance_tick call).
-            draining_ticks = j - 1 - self._ev_drain_started
-            self._drain_remaining = countdown_after(self.drain_seconds, tick, max(draining_ticks, 0))
+            self._drain_remaining = self.drain_seconds - max(j - 1 - self._ev_drain_started, 0)
             assert self.settlement is not None
             self.settlement.settle_through(j - 1)
             self._enter_restart(planned=True)
-            down_ticks = ticks_until_nonpositive(self._downtime_remaining, tick)
+            down_ticks = ticks_until_nonpositive(self._downtime_remaining)
             self._ev_downtime_charged_to = j - 1  # first charged tick is j itself
             self._ev_transition_tick = j + down_ticks
             return False
@@ -628,13 +627,12 @@ class ClusterNode:
         ticks = j - self._ev_downtime_charged_to
         if ticks <= 0:
             return
-        tick = self.config.tick_seconds
-        for _ in range(ticks):
-            self._downtime_remaining -= tick
-            if self._downtime_planned:
-                self.planned_downtime_seconds += tick
-            else:
-                self.unplanned_downtime_seconds += tick
+        # Bit-for-bit ``ticks`` one-second steps (see repro.testbed.timeline).
+        self._downtime_remaining -= ticks
+        if self._downtime_planned:
+            self.planned_downtime_seconds += ticks
+        else:
+            self.unplanned_downtime_seconds += ticks
         self._ev_downtime_charged_to = j
 
     def ev_flush(self, final_tick: int) -> None:

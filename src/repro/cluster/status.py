@@ -197,47 +197,33 @@ class FleetStatus:
         self.served_requests = 0
         self.dropped_requests = 0
 
-    def record_tick(
-        self,
-        tick_seconds: float,
-        active_nodes: int,
-        served: int,
-        dropped: int,
-    ) -> None:
-        """Fold one cluster tick into the aggregates."""
-        if not 0 <= active_nodes <= self.num_nodes:
-            raise ValueError(f"active_nodes must be within [0, {self.num_nodes}]")
-        self.horizon_seconds += tick_seconds
-        self.capacity_node_seconds += active_nodes * tick_seconds
-        if active_nodes == 0:
-            self.full_outage_seconds += tick_seconds
-        elif active_nodes < self.num_nodes:
-            self.degraded_seconds += tick_seconds
-        self.min_active_nodes = min(self.min_active_nodes, active_nodes)
+    def record_tick(self, active_nodes: int, served: int, dropped: int) -> None:
+        """Fold one one-second cluster tick into the aggregates."""
+        self.record_quiet_span(1, active_nodes)
         self.served_requests += served
         self.dropped_requests += dropped
 
-    def record_quiet_span(self, ticks: int, tick_seconds: float, active_nodes: int) -> None:
+    def record_quiet_span(self, ticks: int, active_nodes: int) -> None:
         """Fold ``ticks`` consecutive request-free ticks at constant capacity.
 
         The event-driven engine batches the spans between interesting events
-        through here.  The arithmetic replays the per-tick accumulation so
-        the aggregates stay bit-for-bit identical to ``ticks`` calls of
-        :meth:`record_tick` with zero served and dropped requests.
+        through here.  Every accumulator holds whole seconds, so one add of
+        ``ticks`` is bit-for-bit ``ticks`` one-second adds, the per-tick
+        accumulation of :meth:`record_tick`.
         """
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
         if not 0 <= active_nodes <= self.num_nodes:
             raise ValueError(f"active_nodes must be within [0, {self.num_nodes}]")
-        for _ in range(ticks):
-            self.horizon_seconds += tick_seconds
-            self.capacity_node_seconds += active_nodes * tick_seconds
-            if active_nodes == 0:
-                self.full_outage_seconds += tick_seconds
-            elif active_nodes < self.num_nodes:
-                self.degraded_seconds += tick_seconds
-        if ticks > 0:
-            self.min_active_nodes = min(self.min_active_nodes, active_nodes)
+        if ticks == 0:
+            return
+        self.horizon_seconds += ticks
+        self.capacity_node_seconds += active_nodes * ticks
+        if active_nodes == 0:
+            self.full_outage_seconds += ticks
+        elif active_nodes < self.num_nodes:
+            self.degraded_seconds += ticks
+        self.min_active_nodes = min(self.min_active_nodes, active_nodes)
 
     def snapshot_dict(self) -> dict:
         """Canonical JSON-safe view of the running aggregates (mid-run safe).

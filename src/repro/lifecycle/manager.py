@@ -152,8 +152,6 @@ class LifecycleConfig:
     thread_capacity: float | None = None
     #: Crashed traces kept as true-labelled training material.
     max_outcome_traces: int = 3
-    #: Seconds per simulation tick, for stamping telemetry events.
-    tick_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.error_window < 1:
@@ -192,8 +190,6 @@ class LifecycleConfig:
             raise ValueError("horizon_seconds must be positive")
         if self.max_outcome_traces < 0:
             raise ValueError("max_outcome_traces cannot be negative")
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
 
     def monitored_resources(self) -> list[tuple[str, float]]:
         """``(sample attribute, capacity)`` pairs the pseudo-labellers watch."""
@@ -205,12 +201,11 @@ class LifecycleConfig:
         return resources
 
     def for_testbed(self, config) -> "LifecycleConfig":
-        """Copy with capacities and tick size taken from a testbed config."""
+        """Copy with capacities taken from a testbed config."""
         return replace(
             self,
             memory_capacity_mb=float(config.max_old_mb),
             thread_capacity=float(config.max_threads),
-            tick_seconds=float(config.tick_seconds),
         )
 
 
@@ -346,7 +341,7 @@ class ManagedOnlineMonitor:
     def _tick(self, time_seconds: float) -> int:
         if self._clock is not None:
             return int(self._clock.ticks)
-        return int(round(time_seconds / self.config.tick_seconds))
+        return int(round(time_seconds))
 
     def _record(self, kind: str, time_seconds: float, data: dict) -> None:
         self.history.append(

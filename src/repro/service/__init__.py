@@ -9,7 +9,7 @@ kills, leak-rate changes and triggered rejuvenations.
 
 Determinism is the whole point.  Mutations are applied only at tick
 boundaries, stamped with the boundary tick, and appended to a command log
-the :class:`~repro.service.session.SessionRecorder` persists atomically.
+the :class:`~repro.service.session.SessionRecorder` persists.
 Replaying a session directory (``repro serve --replay DIR``) rebuilds the
 engine from the manifest, re-applies the command log at the stamped ticks
 and reproduces the exact :class:`~repro.cluster.status.ClusterOutcome` and

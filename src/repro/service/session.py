@@ -1,4 +1,4 @@
-"""Live simulation sessions: stepper thread, atomic recording, replay.
+"""Live simulation sessions: stepper thread, recording, replay.
 
 A session owns one cluster engine and advances it chunk by chunk on a
 background thread while HTTP threads query snapshots and submit mutations.
@@ -176,20 +176,22 @@ def build_service_engine(manifest: Mapping[str, object], telemetry: Telemetry | 
 
 
 class SessionRecorder:
-    """Atomically persists one session's manifest, command log and snapshots.
+    """Persists one session's manifest, command log, snapshots and outcome.
 
-    Every write lands via scratch-file-plus-rename (the sidecar discipline),
-    so a session directory never holds a torn file: a crashed server leaves
-    either the previous consistent log or the new one.  The command log and
-    snapshot log are rewritten whole on each append -- they are small (tens
-    of entries), and whole-file replacement is what makes the append atomic.
+    The manifest and the outcome land via scratch-file-plus-rename (the
+    sidecar discipline).  The command and snapshot logs grow by one
+    canonical JSON line per record; a server that dies mid-append leaves at
+    most a final line with no newline, which :meth:`read_commands` drops.
+    A new recorder first removes the previous session's logs, outcome and
+    trace, so a reused directory never replays another session's commands.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        for name in (_COMMANDS_NAME, _SNAPSHOTS_NAME, _OUTCOME_NAME, _TRACE_NAME):
+            (self.directory / name).unlink(missing_ok=True)
         self._commands: list[MutationCommand] = []
-        self._snapshots: list[dict] = []
 
     @property
     def commands(self) -> list[MutationCommand]:
@@ -200,13 +202,14 @@ class SessionRecorder:
 
     def record_command(self, command: MutationCommand) -> None:
         self._commands.append(command)
-        text = "".join(canonical_json(entry.to_dict()) + "\n" for entry in self._commands)
-        write_sidecar_text(text, self.directory / _COMMANDS_NAME)
+        self._append(_COMMANDS_NAME, command.to_dict())
 
     def record_snapshot(self, snapshot: dict) -> None:
-        self._snapshots.append(snapshot)
-        text = "".join(canonical_json(entry) + "\n" for entry in self._snapshots)
-        write_sidecar_text(text, self.directory / _SNAPSHOTS_NAME)
+        self._append(_SNAPSHOTS_NAME, snapshot)
+
+    def _append(self, name: str, record: dict) -> None:
+        with open(self.directory / name, "a", encoding="utf-8") as handle:
+            handle.write(canonical_json(record) + "\n")
 
     def write_outcome(self, payload: dict) -> None:
         write_sidecar_text(canonical_json(payload) + "\n", self.directory / _OUTCOME_NAME)
@@ -225,11 +228,14 @@ class SessionRecorder:
 
     @staticmethod
     def read_commands(directory: str | Path) -> list[MutationCommand]:
+        """The recorded commands in ``(tick, seq)`` order, minus a torn final line."""
         path = Path(directory) / _COMMANDS_NAME
         if not path.exists():
             return []
+        # The last piece is "" after a complete final line, else a torn append.
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
         commands = []
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -281,9 +287,7 @@ class SimulationSession:
         self.recorder = SessionRecorder(directory)
         self.recorder.write_manifest(manifest)
         self.engine = build_service_engine(manifest, self.telemetry)
-        self.horizon_ticks = first_tick_at_or_after(
-            self.scenario.horizon_seconds, self.scenario.config.tick_seconds
-        )
+        self.horizon_ticks = first_tick_at_or_after(self.scenario.horizon_seconds)
         self.chunk_ticks = int(chunk_ticks)
         self.pace_seconds_per_tick = float(pace_seconds_per_tick)
         self.snapshot_every_ticks = snapshot_every_ticks
@@ -498,7 +502,7 @@ def replay_session(directory: str | Path) -> dict:
     if recorded is not None:
         final_tick = int(recorded["final_tick"])
     else:
-        final_tick = first_tick_at_or_after(scenario.horizon_seconds, scenario.config.tick_seconds)
+        final_tick = first_tick_at_or_after(scenario.horizon_seconds)
     telemetry = Telemetry()
     engine = build_service_engine(manifest, telemetry)
     with telemetry_runtime.activate(telemetry):

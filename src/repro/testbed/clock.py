@@ -3,33 +3,33 @@
 The testbed advances in fixed one-second ticks: fine enough to resolve the
 monitoring cadence of the paper (one sample every 15 seconds) and the request
 inter-arrival times of TPC-W emulated browsers, while keeping multi-hour runs
-cheap to simulate.
+cheap to simulate.  The tick is a constant, :data:`TICK_SECONDS`.
 
-The clock counts *integer ticks* and derives ``now`` as ``ticks x
-tick_seconds``.  This makes advancing by ``k`` ticks at once (the batched
-fast-forward of the event-driven cluster engine) produce exactly the same
-floating-point ``now`` as ``k`` single-tick advances -- the property the
-engine's bit-for-bit equivalence guarantee rests on.
+The clock counts *integer ticks* and derives ``now`` as ``float(ticks)``.
+This makes advancing by ``k`` ticks at once (the batched fast-forward of the
+event-driven engines) produce exactly the same floating-point ``now`` as
+``k`` single-tick advances -- the property the engines' bit-for-bit
+equivalence guarantee rests on.
 """
 
 from __future__ import annotations
 
-__all__ = ["SimulationClock"]
+__all__ = ["TICK_SECONDS", "SimulationClock"]
+
+#: Length of one simulation step in seconds.
+TICK_SECONDS = 1.0
 
 
 class SimulationClock:
     """Monotonically advancing clock measured in seconds."""
 
-    def __init__(self, tick_seconds: float = 1.0) -> None:
-        if tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
-        self.tick_seconds = float(tick_seconds)
+    def __init__(self) -> None:
         self._ticks = 0
 
     @property
     def now(self) -> float:
         """Current simulation time in seconds since the start of the run."""
-        return self._ticks * self.tick_seconds
+        return self._ticks * TICK_SECONDS
 
     @property
     def ticks(self) -> int:
@@ -48,4 +48,4 @@ class SimulationClock:
         self._ticks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SimulationClock(now={self.now:.1f}s, tick={self.tick_seconds}s)"
+        return f"SimulationClock(now={self.now:.1f}s)"

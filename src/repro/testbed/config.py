@@ -16,6 +16,9 @@ Two configuration objects live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+from repro.testbed.clock import TICK_SECONDS
 
 __all__ = ["MachineDescription", "TestbedConfig"]
 
@@ -90,8 +93,6 @@ class TestbedConfig:
     cpu_cores:
         Cores of the application server (Table 1: 4-way Xeon); used by the
         load-average model.
-    tick_seconds:
-        Length of one simulation step.
     """
 
     #: Tell pytest not to collect this dataclass (its name matches ``Test*``).
@@ -121,7 +122,9 @@ class TestbedConfig:
     request_memory_mb: float = 0.2
     monitoring_interval_s: float = 15.0
     cpu_cores: int = 4
-    tick_seconds: float = 1.0
+    #: Length of one simulation step: the constant ``TICK_SECONDS``, readable
+    #: here but not a field, so no configuration can set another value.
+    tick_seconds: ClassVar[float] = TICK_SECONDS
 
     def __post_init__(self) -> None:
         if self.heap_max_mb <= 0:
@@ -144,8 +147,6 @@ class TestbedConfig:
             raise ValueError("mean_think_time_s must be positive")
         if self.monitoring_interval_s <= 0:
             raise ValueError("monitoring_interval_s must be positive")
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
 
     @property
     def max_old_mb(self) -> float:
@@ -187,5 +188,4 @@ class TestbedConfig:
             request_memory_mb=self.request_memory_mb,
             monitoring_interval_s=self.monitoring_interval_s,
             cpu_cores=self.cpu_cores,
-            tick_seconds=self.tick_seconds,
         )

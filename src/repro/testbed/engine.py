@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.testbed.appserver.thread_pool import ThreadPool
 from repro.testbed.appserver.tomcat import RequestOutcome, TomcatServer
-from repro.testbed.clock import SimulationClock
+from repro.testbed.clock import TICK_SECONDS, SimulationClock
 from repro.testbed.config import TestbedConfig
 from repro.testbed.database.mysql import MySQLServer
 from repro.testbed.errors import ServerCrash
@@ -115,7 +115,7 @@ class TestbedSimulation:
         self.telemetry_label = telemetry_label
         self._telemetry_finished = False
 
-        self.clock = SimulationClock(self.config.tick_seconds)
+        self.clock = SimulationClock()
         self.heap = GenerationalHeap(
             young_capacity_mb=self.config.young_capacity_mb,
             old_initial_mb=self.config.old_initial_mb,
@@ -229,11 +229,10 @@ class TestbedSimulation:
             # Scheduled actions are first-class wake events in the shared
             # scheduler, so a correctly driven engine never asks to skip one;
             # this guard catches drivers that violate that contract.
-            target_now = (clock.ticks + idle_gap) * self.config.tick_seconds
-            if self._schedule[self._next_scheduled].time_seconds <= target_now:
+            if self._schedule[self._next_scheduled].time_seconds <= clock.ticks + idle_gap:
                 raise RuntimeError("cannot fast-forward over a pending scheduled action")
         self.operating_system.update_span(
-            self.config.tick_seconds,
+            TICK_SECONDS,
             idle_gap + 1,
             tomcat_footprint_mb=self.server.memory_footprint_mb(),
             busy_threads=self.thread_pool.busy_workers + 1,
@@ -281,7 +280,7 @@ class TestbedSimulation:
         population.
         """
         self.operating_system.update(
-            self.config.tick_seconds,
+            TICK_SECONDS,
             tomcat_footprint_mb=self.server.memory_footprint_mb(),
             busy_threads=self.thread_pool.busy_workers + 1,
             requests_completed=requests_completed,
@@ -314,7 +313,7 @@ class TestbedSimulation:
             # even though the crash time itself is bit-identical.
             self.telemetry.event(
                 "crash",
-                int(round(now / self.config.tick_seconds)),
+                int(round(now)),
                 run=self.telemetry_label,
                 data={"time": now, "resource": crash.resource},
             )
@@ -331,7 +330,7 @@ class TestbedSimulation:
         """
         self.telemetry.event(
             "mark",
-            int(round(sample.time_seconds / self.config.tick_seconds)),
+            int(round(sample.time_seconds)),
             run=self.telemetry_label,
             data={
                 "time": sample.time_seconds,
@@ -360,7 +359,7 @@ class TestbedSimulation:
         telemetry.count("heap_resizes", collector.resizes)
         trace = self._trace
         end_tick = (
-            int(round(trace.crash_time_seconds / self.config.tick_seconds))
+            int(round(trace.crash_time_seconds))
             if trace.crashed and trace.crash_time_seconds is not None
             else self.clock.ticks
         )

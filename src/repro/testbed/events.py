@@ -32,7 +32,8 @@ Two layers live here:
 Exactness contract (shared with the cluster engine, see
 ``repro.testbed.timeline``):
 
-* all countdowns replay the reference engine's per-tick float subtraction;
+* the tick is one second, so every countdown of the reference engine's
+  per-tick float subtraction resolves to its exact tick in one ``ceil``;
 * the clock counts integer ticks, so batched advances are exact;
 * deferred OS updates replay the per-tick recurrence from recorded
   segments -- nothing can touch a simulation's components between its own
@@ -61,6 +62,7 @@ from heapq import heappop, heappush
 from math import ceil as _ceil
 from math import log as _log
 
+from repro.testbed.clock import TICK_SECONDS
 from repro.testbed.errors import ServerCrash
 from repro.testbed.timeline import first_tick_at_or_after, ticks_until_nonpositive
 from repro.telemetry.hub import ENGINE as _ENGINE_CHANNEL
@@ -78,7 +80,7 @@ __all__ = ["TickSettlement", "next_fire_tick", "run_event_driven"]
 _ACTION, _MARK, _INJECTOR = 0, 1, 2
 
 
-def next_fire_tick(current: int, response_s: float, think_s: float, tick_seconds: float) -> int:
+def next_fire_tick(current: int, response_s: float, think_s: float) -> int:
     """Tick at which a browser served at ``current`` issues its next request.
 
     Replays the reference engine's two countdowns: the browser waits out the
@@ -86,10 +88,11 @@ def next_fire_tick(current: int, response_s: float, think_s: float, tick_seconds
     completed response on the following tick), draws its think time on the
     completion tick, and fires on the tick the think countdown crosses zero.
     """
-    response_ticks = ticks_until_nonpositive(response_s, tick_seconds)
-    if response_ticks < 1:
-        response_ticks = 1
-    return current + response_ticks + ticks_until_nonpositive(think_s, tick_seconds)
+    return (
+        current
+        + (1 if response_s <= 1.0 else _ceil(response_s))
+        + ticks_until_nonpositive(think_s)
+    )
 
 
 class TickSettlement:
@@ -100,8 +103,7 @@ class TickSettlement:
     "interesting" ticks:
 
     * serving a request performs a *lite begin* -- only the per-tick
-      counters reset; the clock, OS model and (for cluster nodes) uptime
-      settle later;
+      counters reset; the clock and the OS model settle later;
     * each served tick is recorded as a ``(tick, requests, footprint,
       busy)`` segment, so the deferred per-tick OS updates replay with
       exactly the inputs the reference engine would have used (nothing can
@@ -118,18 +120,11 @@ class TickSettlement:
     base_tick:
         Scheduler tick at which the simulation's own clock was zero (0 for
         stand-alone runs; the rejoin tick for cluster-node incarnations).
-    uptime_seconds:
-        Optional running uptime total that every clock tick charged is added
-        to, bit-for-bit like per-tick adds; cluster nodes seed it with their
-        lifetime uptime and read it back.  ``None`` (stand-alone runs) keeps
-        no total.  A number, not a callback into the node, so a settlement
-        never refers back to its owner.
     """
 
     __slots__ = (
         "sim",
         "base_tick",
-        "uptime_seconds",
         "_os_tick",
         "_open_tick",
         "_open_reqs",
@@ -139,15 +134,9 @@ class TickSettlement:
         "mark_interval_ticks",
     )
 
-    def __init__(
-        self,
-        simulation: "TestbedSimulation",
-        base_tick: int = 0,
-        uptime_seconds: float | None = None,
-    ) -> None:
+    def __init__(self, simulation: "TestbedSimulation", base_tick: int = 0) -> None:
         self.sim = simulation
         self.base_tick = base_tick
-        self.uptime_seconds = uptime_seconds
         #: Scheduler tick through which deferred per-tick OS updates settled.
         self._os_tick = base_tick
         #: Lite-begun tick awaiting settlement, and its served requests.
@@ -159,10 +148,8 @@ class TickSettlement:
         self._segments: list[tuple[int, int, float, int]] = []
         #: Engine-channel telemetry (settlement batch sizes); None = disabled.
         self._telemetry = simulation.telemetry
-        #: Monitoring cadence in whole ticks (exact for the 1-second tick).
-        self.mark_interval_ticks = first_tick_at_or_after(
-            simulation.config.monitoring_interval_s, simulation.config.tick_seconds
-        )
+        #: Monitoring cadence in whole ticks.
+        self.mark_interval_ticks = first_tick_at_or_after(simulation.config.monitoring_interval_s)
 
     # ------------------------------------------------------------------ clock
 
@@ -171,26 +158,11 @@ class TickSettlement:
         return self.base_tick + self.sim.clock.ticks
 
     def advance_clock_to(self, j: int) -> None:
-        """Advance the simulation clock to tick ``j``, charging uptime."""
+        """Advance the simulation clock to tick ``j``."""
         sim = self.sim
         ticks = j - self.base_tick - sim.clock.ticks
-        if ticks <= 0:
-            return
-        sim.clock.advance(ticks)
-        if self.uptime_seconds is not None:
-            self._charge_uptime(ticks)
-
-    def _charge_uptime(self, ticks: int) -> None:
-        """Add ``ticks`` ticks to the uptime total, bit-for-bit like per-tick adds."""
-        tick = self.sim.config.tick_seconds
-        if tick == 1.0:
-            # Integer-valued accumulator: one add equals `ticks` unit adds.
-            self.uptime_seconds += float(ticks)
-        else:
-            uptime = self.uptime_seconds
-            for _ in range(ticks):
-                uptime += tick
-            self.uptime_seconds = uptime
+        if ticks > 0:
+            sim.clock.advance(ticks)
 
     # ------------------------------------------------------------ lite begins
 
@@ -200,7 +172,7 @@ class TickSettlement:
         Resets the per-tick server counters (the only state a request can
         observe besides the components themselves) and records the
         pre-serve footprint when a deferred idle gap precedes this tick;
-        clock, OS and uptime settlement happen at the next full sync.
+        clock and OS settlement happen at the next full sync.
         """
         if self._open_tick == j:
             return
@@ -259,7 +231,6 @@ class TickSettlement:
         """
         sim = self.sim
         os_model = sim.operating_system
-        tick = sim.config.tick_seconds
         cursor = self._os_tick
         assert last_tick >= cursor, "OS settlement must never move backwards"
         previous = self._boundary
@@ -272,8 +243,8 @@ class TickSettlement:
             for seg_tick, requests, footprint, busy in segments:
                 gap = seg_tick - cursor - 1
                 if gap > 0:
-                    os_model.update_span(tick, gap, previous[0], previous[1], 0)
-                os_model.update_span(tick, 1, footprint, busy, requests)
+                    os_model.update_span(TICK_SECONDS, gap, previous[0], previous[1], 0)
+                os_model.update_span(TICK_SECONDS, 1, footprint, busy, requests)
                 cursor = seg_tick
                 previous = (footprint, busy)
             segments.clear()
@@ -282,7 +253,7 @@ class TickSettlement:
         if tail > 0:
             if previous is None:
                 previous = (sim.server.memory_footprint_mb(), sim.thread_pool.busy_workers + 1)
-            os_model.update_span(tick, tail, previous[0], previous[1], 0)
+            os_model.update_span(TICK_SECONDS, tail, previous[0], previous[1], 0)
         self._os_tick = last_tick
         return previous
 
@@ -301,7 +272,7 @@ class TickSettlement:
         sim = self.sim
         assert not self._segments and self._os_tick == open_tick - 1
         sim.operating_system.update_span(
-            sim.config.tick_seconds,
+            TICK_SECONDS,
             1,
             tomcat_footprint_mb=sim.server.memory_footprint_mb(),
             busy_threads=sim.thread_pool.busy_workers + 1,
@@ -311,7 +282,7 @@ class TickSettlement:
         self._open_tick = None
 
     def sync_begin(self, j: int) -> None:
-        """Full begin of tick ``j``: clock, OS, actions and uptime current.
+        """Full begin of tick ``j``: clock, OS and actions current.
 
         Needed by observers of the simulation clock (injector drives, the
         uptime-reading cluster coordinator) and by scheduled actions, which
@@ -356,17 +327,11 @@ class TickSettlement:
     # ------------------------------------------------------------------ wakes
 
     def next_mark_tick(self) -> int:
-        """Estimated scheduler tick of the next monitoring mark.
+        """Scheduler tick of the next monitoring mark (never late).
 
-        The estimate can be one tick early for exotic ``tick_seconds``; the
-        engines self-heal by re-arming the wake until a sample is actually
-        taken.  It is never late for the shipped configurations.
+        The engines re-arm a wake whose :meth:`mark` finds no sample due.
         """
-        sim = self.sim
-        tick = sim.config.tick_seconds
-        local = first_tick_at_or_after(sim.collector.next_due_time(), tick)
-        if tick != 1.0 and local > 0:
-            local -= 1  # defensive margin against last-bit float disagreement
+        local = first_tick_at_or_after(self.sim.collector.next_due_time())
         return self.base_tick + max(local, 1)
 
     def next_injector_wake(self, floor_tick: int) -> int | None:
@@ -379,17 +344,13 @@ class TickSettlement:
         wake (the minimum horizon) suffices.
         """
         sim = self.sim
-        tick = sim.config.tick_seconds
         local_now = sim.clock.now
         earliest: int | None = None
         for injector in sim.injectors:
             horizon = injector.tick_event_horizon(local_now)
             if horizon is None:
                 continue
-            local = first_tick_at_or_after(horizon, tick)
-            if tick != 1.0 and local > 0:
-                local -= 1  # same defensive margin as the mark schedule
-            wake = max(self.base_tick + local, floor_tick, 1)
+            wake = max(self.base_tick + first_tick_at_or_after(horizon), floor_tick, 1)
             if earliest is None or wake < earliest:
                 earliest = wake
         return earliest
@@ -406,10 +367,7 @@ class TickSettlement:
         """
         sim = self.sim
         if self._open_tick is None and not self._segments and self._os_tick == self.clock_tick():
-            gap = j - self._os_tick - 1
-            sample = sim.cluster_mark_tick(gap, workload_ebs)
-            if self.uptime_seconds is not None:
-                self._charge_uptime(gap + 1)
+            sample = sim.cluster_mark_tick(j - self._os_tick - 1, workload_ebs)
             self._os_tick = j
             return sample
         if self._open_tick == j:
@@ -435,7 +393,7 @@ class TickSettlement:
         sim.database.begin_tick()
         if known is None:
             known = (sim.server.memory_footprint_mb(), sim.thread_pool.busy_workers + 1)
-        sim.operating_system.update_span(sim.config.tick_seconds, 1, known[0], known[1], 0)
+        sim.operating_system.update_span(TICK_SECONDS, 1, known[0], known[1], 0)
         self._os_tick = j
         collector = sim.collector
         if not collector.due(now):
@@ -493,9 +451,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
         raise ValueError("max_seconds must be positive")
     trace = sim.begin()
     config = sim.config
-    tick_s = config.tick_seconds
-    fast_tick = tick_s == 1.0
-    final_tick = first_tick_at_or_after(max_seconds, tick_s)
+    final_tick = first_tick_at_or_after(max_seconds)
     settle = TickSettlement(sim)
 
     clock = sim.clock
@@ -525,7 +481,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
         heappush(events, (wake, _INJECTOR))
     action_time = sim.pending_action_time()
     if action_time is not None:
-        heappush(events, (max(first_tick_at_or_after(action_time, tick_s), 1), _ACTION))
+        heappush(events, (max(first_tick_at_or_after(action_time), 1), _ACTION))
 
     # Browser fires: (tick, browser_id, index, browser, rng.random) heap.
     # The browser_id tie-break reproduces the reference engine's in-tick
@@ -537,7 +493,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
     browsers = workload.browser_population()
     nbrowsers = len(browsers)
     fires = [
-        (ticks_until_nonpositive(b._remaining_think_s, tick_s), b.browser_id, idx, b, b._rng.random)
+        (ticks_until_nonpositive(b._remaining_think_s), b.browser_id, idx, b, b._rng.random)
         for idx, b in enumerate(browsers)
     ]
     fires.sort()
@@ -596,8 +552,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                 action_time = sim.pending_action_time()
                 if action_time is not None:
                     heappush(
-                        events,
-                        (max(first_tick_at_or_after(action_time, tick_s), current + 1), _ACTION),
+                        events, (max(first_tick_at_or_after(action_time), current + 1), _ACTION)
                     )
                 # Actions may have changed rates, the mix or the population:
                 # re-sync the workload caches, schedule any fresh browsers
@@ -609,9 +564,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                 live_ids = {entry[1] for entry in fires}
                 for idx, browser in enumerate(browsers):
                     if browser.browser_id not in live_ids:
-                        first = current - 1 + ticks_until_nonpositive(
-                            browser._remaining_think_s, tick_s
-                        )
+                        first = current - 1 + ticks_until_nonpositive(browser._remaining_think_s)
                         push(
                             fires,
                             (max(first, current), browser.browser_id, idx, browser, browser._rng.random),
@@ -661,7 +614,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                 settle._open_tick = current
                 settle._open_reqs = 0
                 clock._ticks = current  # advance_clock_to, one batched advance
-                heap_._now = current * tick_s  # heap.set_time(clock.now)
+                heap_._now = current * TICK_SECONDS  # heap.set_time(clock.now)
             # Fused inline replay of the per-second serving path.  Each block
             # mirrors one callee of the reference loop -- random.choices,
             # ThreadPool.set_concurrency, Servlet.invoke, GenerationalHeap.
@@ -739,14 +692,12 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                     if think > think_cap:
                         think = think_cap
                     browser._remaining_think_s = think
-                    if fast_tick:
-                        next_fire = (
-                            current
-                            + (1 if response_time <= 1.0 else ceil_(response_time))
-                            + ceil_(think)
-                        )
-                    else:
-                        next_fire = next_fire_tick(current, response_time, think, tick_s)
+                    # -- next_fire_tick inlined (the think draw is non-negative)
+                    next_fire = (
+                        current
+                        + (1 if response_time <= 1.0 else ceil_(response_time))
+                        + ceil_(think)
+                    )
                     push(fires, (next_fire, entry[1], idx, browser, rand))
             except ServerCrash as crash:
                 settle.discard_open()
@@ -783,8 +734,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
         # ------------------------------------------------------ monitoring mark
         if mark_due:
             sample = settle.mark(current, workload.num_browsers)
-            if sample is not None and fast_tick:
-                # One-second ticks make the cadence exact in whole ticks.
+            if sample is not None:
                 heappush(events, (current + settle.mark_interval_ticks, _MARK))
             else:
                 heappush(events, (max(settle.next_mark_tick(), current + 1), _MARK))

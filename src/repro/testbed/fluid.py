@@ -268,8 +268,8 @@ class FluidFleet:
         """Closed-loop request rate: each EB cycles think time plus response."""
         return assigned_ebs / (self.mean_think + self.response)
 
-    def step(self, live: np.ndarray, arrivals: np.ndarray, tick_seconds: float) -> np.ndarray:
-        """Advance one tick for ``live`` nodes; return the crashed mask.
+    def step(self, live: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+        """Advance one one-second tick for ``live`` nodes; return the crashed mask.
 
         ``arrivals`` is the per-node served-request count of the tick (zero
         for non-accepting nodes).  Crashes are evaluated at tick end -- the
@@ -281,9 +281,9 @@ class FluidFleet:
 
         # Thread leak accrues with lifetime, memory leak with served traffic
         # (the injector listens on one servlet's invocations).
-        self.thread_leak += live_f * self.thread_rate * tick_seconds
+        self.thread_leak += live_f * self.thread_rate
         self.leaked += arrivals * self.mem_rate
-        self.leaked += live_f * self.thread_rate * tick_seconds * self.thread_heap_mb
+        self.leaked += live_f * self.thread_rate * self.thread_heap_mb
 
         # Transient allocation: every request touches young space; minor GCs
         # promote ``promotion_fraction`` of everything that passes through.
@@ -306,7 +306,7 @@ class FluidFleet:
         # Response model: mean service demand inflated by CPU and GC pressure
         # plus database time (exact: TomcatServer._contention_factor and
         # MySQLServer.execute_queries, evaluated at the tick's mean load).
-        inflight = np.maximum(arrivals * self.response / max(tick_seconds, 1e-9), live_f)
+        inflight = np.maximum(arrivals * self.response, live_f)
         headroom_frac = (self.old_max - self.old_used) / np.maximum(self.old_max, 1.0)
         heap_pressure = np.where(headroom_frac < 0.10, (0.10 - headroom_frac) * 30.0, 0.0)
         contention = 1.0 + inflight / (self.cores * 4.0) + heap_pressure
@@ -333,8 +333,9 @@ class FluidFleet:
         )
         self.rss = np.where(live, np.maximum(self.rss, footprint), self.rss)
         busy = np.minimum(inflight, self.cores * 64.0)
-        decay = min(tick_seconds / 60.0, 1.0)
-        self.load = np.where(live, self.load + (busy / self.cores - self.load) * decay, self.load)
+        self.load = np.where(
+            live, self.load + (busy / self.cores - self.load) * (1.0 / 60.0), self.load
+        )
         self.disk = np.where(
             live,
             np.minimum(self.disk + self.log_mb_per_request * arrivals, self.disk_capacity),
@@ -366,8 +367,7 @@ class FluidFleet:
         whole fleet, but only the ``due`` nodes' per-mark accumulators are
         drained -- restarted nodes mark on their own offset cadence.
         """
-        interval = max(interval_seconds, 1e-9)
-        throughput = self.served_since_mark / interval
+        throughput = self.served_since_mark / interval_seconds
         response = np.where(
             self.served_since_mark > 0.0,
             self.response_weight_since_mark / np.maximum(self.served_since_mark, 1e-9),

@@ -22,6 +22,7 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.routing import AgingAwareRouting
 from repro.experiments import cluster as experiments_cluster
 from repro.telemetry.hub import ENGINE
+from repro.testbed.clock import TICK_SECONDS
 from repro.testbed.errors import ServerCrash
 
 
@@ -63,10 +64,9 @@ class PerSecondClusterEngine(ClusterEngine):
         """Every tick is processed: there are no wake events to arm."""
 
     def _advance(self, target: int) -> None:
-        tick = self.config.tick_seconds
         for _ in range(target - self._current_tick):
             self.clock.advance()
-            self._run_one_tick(tick)
+            self._run_one_tick()
 
     def _settle(self) -> None:
         """Nothing is lazy (every tick settled as it ran): count the ticks."""
@@ -85,22 +85,22 @@ class PerSecondClusterEngine(ClusterEngine):
     def _apply_rejuvenate(self, node_id: int) -> None:
         self.nodes[node_id].begin_drain()
 
-    def _run_one_tick(self, tick: float) -> None:
-        live_nodes = [node for node in self.nodes if node.advance_tick(tick)]
-        served, dropped, routed_per_node = self._route_requests(tick)
+    def _run_one_tick(self) -> None:
+        live_nodes = [node for node in self.nodes if node.advance_tick()]
+        served, dropped, routed_per_node = self._route_requests()
         self._drive_injectors(live_nodes)
         self._close_node_ticks(live_nodes, routed_per_node)
         active = sum(1 for node in self.nodes if node.accepting)
-        self.status.record_tick(tick, active_nodes=active, served=served, dropped=dropped)
+        self.status.record_tick(active_nodes=active, served=served, dropped=dropped)
         for node in self.coordinator.decide(self.clock.now, self.nodes):
             node.begin_drain()
 
-    def _route_requests(self, tick: float) -> tuple[int, int, dict[int, int]]:
+    def _route_requests(self) -> tuple[int, int, dict[int, int]]:
         """Issue this tick's fleet workload and route it request by request."""
         served = 0
         dropped = 0
         routed_per_node: dict[int, int] = {}
-        for browser, interaction in self.workload.tick(tick):
+        for browser, interaction in self.workload.tick(TICK_SECONDS):
             while True:
                 target = route(self.balancer, self.nodes)
                 if target is None:

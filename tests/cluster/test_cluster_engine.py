@@ -104,14 +104,14 @@ class TestNodeLifecycle:
             rejuvenation_downtime_seconds=10.0,
         )
         assert node.state is NodeState.ACTIVE
-        node.advance_tick(1.0)
+        node.advance_tick()
         node.begin_drain()
         assert node.state is NodeState.DRAINING
         assert not node.accepting and node.live
         for _ in range(5):
-            assert node.advance_tick(1.0)
+            assert node.advance_tick()
         # Drain exhausted: the node goes down for the planned downtime.
-        downtime_ticks = sum(0 if node.advance_tick(1.0) else 1 for _ in range(11))
+        downtime_ticks = sum(0 if node.advance_tick() else 1 for _ in range(11))
         assert downtime_ticks == 10
         assert node.state is NodeState.ACTIVE
         assert node.rejuvenations == 1
@@ -154,11 +154,11 @@ class TestFleetStatusArithmetic:
     def test_capacity_weighted_availability(self):
         status = FleetStatus(num_nodes=4)
         for _ in range(60):
-            status.record_tick(1.0, active_nodes=4, served=8, dropped=0)
+            status.record_tick(active_nodes=4, served=8, dropped=0)
         for _ in range(30):
-            status.record_tick(1.0, active_nodes=2, served=4, dropped=1)
+            status.record_tick(active_nodes=2, served=4, dropped=1)
         for _ in range(10):
-            status.record_tick(1.0, active_nodes=0, served=0, dropped=5)
+            status.record_tick(active_nodes=0, served=0, dropped=5)
         outcome = status.outcome([], "rr", "none")
         # 60s at 4/4 + 30s at 2/4 + 10s at 0/4 over 100s of horizon.
         assert outcome.horizon_seconds == pytest.approx(100.0)
@@ -176,10 +176,10 @@ class TestFleetStatusArithmetic:
         with pytest.raises(ValueError):
             FleetStatus(num_nodes=0)
         with pytest.raises(ValueError):
-            status.record_tick(1.0, active_nodes=3, served=0, dropped=0)
+            status.record_tick(active_nodes=3, served=0, dropped=0)
 
     def test_summary_mentions_the_headline_numbers(self):
         status = FleetStatus(num_nodes=2)
-        status.record_tick(1.0, active_nodes=1, served=3, dropped=1)
+        status.record_tick(active_nodes=1, served=3, dropped=1)
         summary = status.outcome([], "rr", "none").summary()
         assert "availability" in summary and "full outage" in summary

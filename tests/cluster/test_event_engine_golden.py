@@ -12,6 +12,8 @@ the guard rail that lets the batched fast-forward machinery evolve safely.
 uptime/downtime/crash/rejuvenation/request accounting), with no tolerance.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.coordinator import (
@@ -61,6 +63,21 @@ def run_both(scenario, horizon_seconds, routing_factory=None, coordinator_factor
     return outcomes
 
 
+def whole_and_fractional(scenario):
+    """The scenario, then the scenario with a drain window and downtimes that
+    are not whole seconds, so every lifecycle countdown ends on a fractional
+    remainder the engines' one-step countdowns must land on exactly."""
+    return (
+        scenario,
+        dataclasses.replace(
+            scenario,
+            drain_seconds=15.5,
+            rejuvenation_downtime_seconds=120.25,
+            crash_downtime_seconds=900.75,
+        ),
+    )
+
+
 @pytest.mark.parametrize("kind", CLUSTER_SCENARIO_KINDS)
 def test_event_engine_matches_per_second_engine(kind):
     """Crash/recover cycles under every scenario kind reproduce exactly."""
@@ -72,14 +89,14 @@ def test_event_engine_matches_per_second_engine(kind):
 
 def test_event_engine_matches_with_time_based_coordination():
     """Uptime crossings (drain, planned restart, rejoin) reproduce exactly."""
-    scenario = ClusterScenario.fast()
-    reference, event_driven = run_both(
-        scenario,
-        horizon_seconds=3600.0,
-        coordinator_factory=lambda: UncoordinatedTimeBasedRejuvenation(900.0),
-    )
-    assert reference == event_driven
-    assert reference.rejuvenations >= 1  # planned restarts were exercised
+    for scenario in whole_and_fractional(ClusterScenario.fast()):
+        reference, event_driven = run_both(
+            scenario,
+            horizon_seconds=3600.0,
+            coordinator_factory=lambda: UncoordinatedTimeBasedRejuvenation(900.0),
+        )
+        assert reference == event_driven
+        assert reference.rejuvenations >= 1  # planned restarts were exercised
 
 
 def test_event_engine_matches_with_least_connections_routing():
@@ -105,26 +122,28 @@ def test_event_engine_matches_predictive_rolling_fleet(fast_scenario, fitted_pre
     """The full headline configuration -- M5P forecasts streamed through the
     per-node monitors, aging-aware routing and the rolling coordinator --
     reproduces bit-for-bit, including every monitoring mark and drain."""
-    scenario = fast_scenario
-    reference, event_driven = run_both(
-        scenario,
-        horizon_seconds=3600.0,
-        routing_factory=lambda: AgingAwareRouting(ttf_comfort_seconds=scenario.ttf_comfort_seconds),
-        coordinator_factory=lambda: RollingPredictiveRejuvenation(
-            max_concurrent_restarts=scenario.max_concurrent_restarts,
-            min_active_fraction=scenario.min_active_fraction,
-        ),
-        predictor=fitted_predictor,
-    )
-    assert reference == event_driven
-    assert reference.rejuvenations >= 1  # predictive drains were exercised
+    for scenario in whole_and_fractional(fast_scenario):
+        reference, event_driven = run_both(
+            scenario,
+            horizon_seconds=3600.0,
+            routing_factory=lambda: AgingAwareRouting(
+                ttf_comfort_seconds=scenario.ttf_comfort_seconds
+            ),
+            coordinator_factory=lambda: RollingPredictiveRejuvenation(
+                max_concurrent_restarts=scenario.max_concurrent_restarts,
+                min_active_fraction=scenario.min_active_fraction,
+            ),
+            predictor=fitted_predictor,
+        )
+        assert reference == event_driven
+        assert reference.rejuvenations >= 1  # predictive drains were exercised
 
 
 def test_no_rejuvenation_baseline_still_runs_to_crash():
     """The baseline coordinator never drains under either engine."""
-    scenario = ClusterScenario.fast()
-    reference, event_driven = run_both(
-        scenario, horizon_seconds=2400.0, coordinator_factory=NoClusterRejuvenation
-    )
-    assert reference == event_driven
-    assert reference.rejuvenations == 0
+    for scenario in whole_and_fractional(ClusterScenario.fast()):
+        reference, event_driven = run_both(
+            scenario, horizon_seconds=2400.0, coordinator_factory=NoClusterRejuvenation
+        )
+        assert reference == event_driven
+        assert reference.rejuvenations == 0

@@ -162,6 +162,39 @@ def test_recorder_round_trips_commands(tmp_path):
     assert loaded == [command]
 
 
+def test_a_torn_final_command_line_is_dropped(tmp_path):
+    """A server that died mid-append leaves a final line with no newline:
+    it reads as never recorded.  A complete malformed line still raises."""
+    recorder = SessionRecorder(tmp_path)
+    command = MutationCommand(tick=7, seq=0, kind="kill", params={"node": 1})
+    recorder.record_command(command)
+    log = tmp_path / "commands.jsonl"
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write('{"kind":"load","params":{"total_')
+    assert SessionRecorder.read_commands(tmp_path) == [command]
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write("\n")
+    with pytest.raises(ValueError, match="not valid JSON"):
+        SessionRecorder.read_commands(tmp_path)
+
+
+def test_a_reused_session_directory_replays_only_the_latest_session(tiny_manifest, tmp_path):
+    """A session starts from clean logs: the previous session's command in
+    the same directory must not leak into the new session's replay."""
+    directory = tmp_path / "session"
+    first = SimulationSession(tiny_manifest, directory)
+    first.submit_mutation({"kind": "kill", "node": 1})
+    first.finish()
+    assert len(SessionRecorder.read_commands(directory)) == 1
+
+    second = SimulationSession(tiny_manifest, directory)
+    second.start()
+    assert second.wait_until_done(timeout=120.0)
+    live = second.finish()
+    assert canonical(replay_session(directory)) == canonical(live)
+    assert SessionRecorder.read_commands(directory) == []
+
+
 def test_replay_rejects_commands_past_final_tick(tmp_path):
     manifest = build_service_manifest(preset="fast", policy="none", horizon_seconds=600.0)
     recorder = SessionRecorder(tmp_path)

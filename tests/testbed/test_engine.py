@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.testbed.clock import SimulationClock
+from repro.lifecycle import LifecycleConfig
+from repro.testbed.clock import TICK_SECONDS, SimulationClock
+from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import ScheduledAction, TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.periodic import PeriodicPatternInjector
@@ -13,15 +15,20 @@ from repro.testbed.monitoring.metrics_catalog import RAW_METRICS
 
 class TestClock:
     def test_advances_by_tick(self):
-        clock = SimulationClock(tick_seconds=2.0)
+        clock = SimulationClock()
+        assert clock.advance() == 1.0
         assert clock.advance() == 2.0
-        assert clock.advance() == 4.0
         clock.reset()
         assert clock.now == 0.0
 
-    def test_rejects_bad_tick(self):
-        with pytest.raises(ValueError):
-            SimulationClock(tick_seconds=0.0)
+    def test_the_tick_is_a_constant(self):
+        assert TestbedConfig().tick_seconds == TICK_SECONDS == 1.0
+        with pytest.raises(TypeError):
+            TestbedConfig(tick_seconds=0.5)
+        with pytest.raises(TypeError):
+            LifecycleConfig(tick_seconds=2.0)
+        with pytest.raises(TypeError):
+            SimulationClock(2.0)
 
 
 class TestBasicRuns:

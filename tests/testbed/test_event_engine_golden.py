@@ -5,8 +5,8 @@ identical seeded runs to the per-second reference loop
 (:func:`tests.testbed.oracle.run_per_second`).  These tests pin that
 promise across every scenario kind the experiments use -- memory leak,
 thread leak, periodic pattern, dynamic schedule, no injection -- plus the
-hard scheduling cases: fast-forwarding over a pending mid-run action, a
-mid-run workload population change and a non-default tick size.
+hard scheduling cases: fast-forwarding over a pending mid-run action and a
+mid-run workload population change.
 
 Equality is checked with no tolerance on:
 
@@ -22,7 +22,6 @@ Equality is checked with no tolerance on:
 
 import pytest
 
-from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import ScheduledAction, TestbedSimulation
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.periodic import PeriodicPatternInjector
@@ -180,29 +179,6 @@ class TestGoldenSchedulingEdges:
             return TestbedSimulation(config=fast_config, workload_ebs=20, schedule=schedule, seed=12)
 
         run_both(make, max_seconds=1200)
-
-    def test_non_default_tick_size(self):
-        """Half-second ticks take the generic countdown-replay paths."""
-        config = TestbedConfig(
-            heap_max_mb=160.0,
-            young_capacity_mb=16.0,
-            old_initial_mb=48.0,
-            old_resize_step_mb=32.0,
-            perm_mb=16.0,
-            max_threads=96,
-            base_worker_threads=16,
-            tick_seconds=0.5,
-        )
-        trace, _ = run_both(
-            lambda: TestbedSimulation(
-                config=config,
-                workload_ebs=15,
-                injectors=[MemoryLeakInjector(n=4, seed=21)],
-                seed=21,
-            ),
-            max_seconds=3600,
-        )
-        assert trace.crashed
 
     def test_two_resource_schedule(self, fast_config):
         """Memory and thread injectors together with mid-run rate changes."""
