@@ -196,7 +196,6 @@ class ClusterNode:
         self.settlement: TickSettlement | None = None
         self._ev_transition_tick: int | None = None
         self._ev_downtime_charged_to = 0
-        self._ev_drain_started = 0
 
         self._start_incarnation()
 
@@ -549,7 +548,6 @@ class ClusterNode:
         enters its planned restart on the tick after those.
         """
         self.begin_drain()
-        self._ev_drain_started = j
         draining_ticks = ticks_until_nonpositive(self.drain_seconds)
         self._ev_transition_tick = j + draining_ticks + 1
         return self._ev_transition_tick
@@ -605,7 +603,6 @@ class ClusterNode:
             # Reference: advance_tick at j sees the drain budget exhausted,
             # enters the planned restart and immediately charges tick j as
             # the first downtime tick (the recursive advance_tick call).
-            self._drain_remaining = self.drain_seconds - max(j - 1 - self._ev_drain_started, 0)
             assert self.settlement is not None
             self.settlement.settle_through(j - 1)
             self._enter_restart(planned=True)

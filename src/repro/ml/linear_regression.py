@@ -15,6 +15,7 @@ reproduction:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,6 +41,20 @@ def prediction_rows(features: Sequence[Sequence[float]], width: int) -> tuple[np
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     return x, single
+
+
+def _candidate_attributes(attributes: Sequence[int] | None, width: int) -> list[int]:
+    """The columns a fit may use, ascending: ``attributes`` checked, or all ``width``."""
+    if attributes is None:
+        return list(range(width))
+    candidate = sorted(operator.index(column) for column in attributes)
+    if not candidate:
+        raise ValueError("attributes must name at least one column")
+    if len(set(candidate)) != len(candidate):
+        raise ValueError("attributes must not repeat a column")
+    if candidate[0] < 0 or candidate[-1] >= width:
+        raise ValueError(f"attributes must be columns in [0, {width})")
+    return candidate
 
 
 @dataclass
@@ -94,8 +109,20 @@ class LinearRegressionModel:
 
     # ------------------------------------------------------------------ fit
 
-    def fit(self, features: Sequence[Sequence[float]], targets: Sequence[float]) -> "LinearRegressionModel":
+    def fit(
+        self,
+        features: Sequence[Sequence[float]],
+        targets: Sequence[float],
+        attributes: Sequence[int] | None = None,
+    ) -> "LinearRegressionModel":
         """Fit the model on a feature matrix and a target vector.
+
+        ``attributes`` lists the columns the model may use (default: every
+        column); it must be non-empty, without repeats and within
+        ``[0, d)``.  No other column enters the fit: their coefficients
+        are exactly ``0.0`` and :attr:`selected_attributes` is a subset of
+        ``attributes``, while the model still takes full-width rows.  M5P
+        restricts each node's model this way.
 
         Rows with non-finite values are rejected with ``ValueError`` --
         upstream feature engineering is responsible for producing clean
@@ -116,11 +143,11 @@ class LinearRegressionModel:
             raise ValueError("features and targets must be finite")
 
         names = self._resolve_names(x.shape[1])
-        candidate = list(range(x.shape[1]))
-        coefs, intercept, sse = self._solve(x, y, candidate)
-
+        candidate = _candidate_attributes(attributes, x.shape[1])
         if self.eliminate_attributes and len(candidate) > 1:
             candidate, coefs, intercept, sse = self._greedy_eliminate(x, y, candidate)
+        else:
+            coefs, intercept, sse = self._solve(x, y, candidate)
 
         full_coefs = np.zeros(x.shape[1], dtype=float)
         for position, column in enumerate(candidate):

@@ -16,8 +16,10 @@ algorithm WEKA ships as ``M5P``):
    fewer than twice the minimum leaf count or its standard deviation drops
    below 5 % of the root's.
 2. **Linear models** -- every node receives a linear model fitted on its own
-   rows, restricted to the attributes tested in the subtree below it (plus
-   greedy Akaike elimination), so leaf models stay small and interpretable.
+   rows, restricted to the attributes tested in the subtree below it or on
+   the path to it.  No other column enters the fit: greedy Akaike
+   elimination chooses among the allowed ones only, so leaf models stay
+   small and interpretable.
 3. **Pruning** -- bottom-up, a subtree is replaced by its node's linear model
    whenever the model's *adjusted* error ``MAE * (n + v) / (n - v)`` is no
    worse than the subtree's adjusted error.
@@ -185,10 +187,17 @@ class M5PModelTree:
         when a test run wanders outside the training region of a leaf.  A
         single-node tree (no splits anywhere) falls back to all attributes so
         it degenerates gracefully to plain linear regression.
+
+        The model is fitted on the allowed columns alone and still takes
+        full-width rows (every other coefficient is exactly zero), so
+        prediction never needs to know which attributes a node could use.
+        The standardisation inside :class:`LinearRegressionModel` keeps node
+        models stable on small row subsets of highly collinear derived
+        variables.
         """
         relevant = node.subtree_attributes | path_attributes
         allowed = sorted(relevant) if relevant else list(range(x.shape[1]))
-        node.model = _fit_restricted_model(x, y, allowed, self._names)
+        node.model = LinearRegressionModel(attribute_names=self._names).fit(x, y, attributes=allowed)
         if node.is_leaf:
             return
         assert node.left is not None and node.right is not None
@@ -405,25 +414,6 @@ def _error_adjustment(rows: int, parameters: int) -> float:
     if rows <= parameters:
         return float(rows + parameters)
     return (rows + parameters) / (rows - parameters)
-
-
-def _fit_restricted_model(
-    x: np.ndarray, y: np.ndarray, allowed: Sequence[int], names: Sequence[str]
-) -> LinearRegressionModel:
-    """Fit a linear model using only the ``allowed`` columns of ``x``.
-
-    The returned model still accepts full-width rows (eliminated columns get
-    zero coefficients), which keeps prediction code independent of which
-    attributes each node was allowed to use.  Node models rely on the
-    standardisation inside :class:`LinearRegressionModel` to stay numerically
-    stable on small row subsets of highly collinear derived variables.
-    """
-    model = LinearRegressionModel(eliminate_attributes=True, attribute_names=list(names))
-    if len(allowed) == x.shape[1]:
-        return model.fit(x, y)
-    masked = np.zeros_like(x)
-    masked[:, list(allowed)] = x[:, list(allowed)]
-    return model.fit(masked, y)
 
 
 def _best_sdr_split(x: np.ndarray, y: np.ndarray, min_instances: int) -> tuple[int, float] | None:

@@ -76,6 +76,51 @@ class TestAttributeElimination:
         assert pruned_mae <= full_mae * 1.5 + 0.1
 
 
+class TestAttributeRestriction:
+    """``fit(x, y, attributes)`` never uses a column outside ``attributes``."""
+
+    @staticmethod
+    def five_columns(constant):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-10, 10, size=(120, 5))
+        y = np.full(120, 10_800.0) if constant else 3.0 * x[:, 1] - 2.0 * x[:, 3] + 0.5 * x[:, 0] + 9.0
+        return x, y
+
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "linear"])
+    def test_keeps_only_the_allowed_attributes(self, constant):
+        x, y = self.five_columns(constant)
+        model = LinearRegressionModel().fit(x, y, attributes=[1, 3])
+        assert set(model.selected_attributes) <= {1, 3}
+        for column in (0, 2, 4):
+            assert model.coefficients[column] == 0.0
+        assert model.predict(x).shape == (120,)
+
+    def test_equals_the_fit_on_the_allowed_columns_alone(self):
+        x, y = self.five_columns(constant=False)
+        restricted = LinearRegressionModel().fit(x, y, attributes=[3, 1])
+        alone = LinearRegressionModel().fit(x[:, [1, 3]], y)
+        assert [float(c).hex() for c in restricted.coefficients[[1, 3]]] == [
+            float(c).hex() for c in alone.coefficients
+        ]
+        assert float(restricted.intercept).hex() == float(alone.intercept).hex()
+        assert float(restricted.training_sse).hex() == float(alone.training_sse).hex()
+
+    def test_default_is_every_column(self):
+        x, y = self.five_columns(constant=False)
+        default = LinearRegressionModel().fit(x, y)
+        explicit = LinearRegressionModel().fit(x, y, attributes=range(5))
+        assert default.selected_attributes == explicit.selected_attributes
+        assert np.array_equal(default.coefficients, explicit.coefficients)
+
+    @pytest.mark.parametrize(
+        "attributes", [[], [1, 1], [-1, 2], [1, 5]], ids=["empty", "repeat", "negative", "too-high"]
+    )
+    def test_rejects_bad_attributes(self, attributes):
+        x, y = self.five_columns(constant=False)
+        with pytest.raises(ValueError):
+            LinearRegressionModel().fit(x, y, attributes=attributes)
+
+
 class TestValidation:
     def test_rejects_unfitted_predict(self):
         with pytest.raises(RuntimeError):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.predictor import AgingPredictor
+from repro.experiments.cluster import generate_cluster_training_traces
+from repro.experiments.scenarios import ClusterScenario
 from repro.ml.linear_regression import LinearRegressionModel
 from repro.ml.m5p import M5PModelTree, _best_sdr_split, _error_adjustment
+from tests.ml.oracle import masked_node_fits
 
 
 def make_piecewise_linear(rows=600, seed=0, noise=0.0):
@@ -61,6 +65,85 @@ class TestFitAndPredict:
         tree = M5PModelTree().fit(x, y)
         assert tree.num_leaves == 1
         assert tree.predict_one([0.3, 0.3]) == pytest.approx(9.0, abs=1e-6)
+
+
+def allowed_attributes(tree):
+    """Each node with the columns M5 lets its model use: subtree and path tests.
+
+    A one-node tree may use every column.
+    """
+    every = set(range(len(tree.attribute_names)))
+    stack = [(tree.root, frozenset())]
+    while stack:
+        node, path = stack.pop()
+        yield node, (node.subtree_attributes | path) or every
+        if not node.is_leaf:
+            below = path | {node.split_attribute}
+            stack += [(node.left, below), (node.right, below)]
+
+
+def node_models(tree):
+    """Every node's split and linear model, as exact hex strings."""
+    return [
+        (
+            node.split_attribute,
+            float(node.split_value).hex(),
+            node.model.selected_attributes,
+            [float(c).hex() for c in node.model.coefficients],
+            float(node.model.intercept).hex(),
+            float(node.model.training_sse).hex(),
+        )
+        for node in tree.root.iter_nodes()
+    ]
+
+
+class TestNodeModelAttributes:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_node_models_keep_only_allowed_attributes(self, seed):
+        # A TTF-like target: capped (constant) on half the space, linear on
+        # the other, so some leaves see a constant target.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(240, 8))
+        y = np.where(x[:, 0] <= 0.5, 10_800.0, 10_800.0 - 9_000.0 * (x[:, 0] - 0.5) - 500.0 * x[:, 1])
+        tree = M5PModelTree(min_instances=10).fit(x, y)
+        for node, allowed in allowed_attributes(tree):
+            assert set(node.model.selected_attributes) <= allowed
+            outside = [column for column in range(8) if column not in allowed]
+            assert not node.model.coefficients[outside].any()
+
+
+class TestMaskedFitOracle:
+    """The direct node fit against the masked-copy fit it replaced (``tests/ml/oracle.py``).
+
+    Only the fast ``memory`` fleet's training set is used: its elimination
+    decisions are at least 2.4e-5 apart in relative terms, so no BLAS build
+    can flip one of them.
+    """
+
+    @pytest.fixture(scope="class")
+    def memory_traces(self):
+        return generate_cluster_training_traces(ClusterScenario.fast())
+
+    def test_tree_matches_the_masked_fit_bit_for_bit(self, memory_traces, masked_node_fits):
+        direct = AgingPredictor(model="m5p").fit(memory_traces).model
+        with masked_node_fits():
+            masked = AgingPredictor(model="m5p").fit(memory_traces).model
+        assert node_models(direct) == node_models(masked)
+
+    def test_node_fits_solve_only_allowed_columns(self, memory_traces, monkeypatch):
+        solved = {}
+        solve = LinearRegressionModel._solve
+
+        def recording(model, x, y, columns):
+            solved.setdefault(model, []).append(list(columns))
+            return solve(model, x, y, columns)
+
+        monkeypatch.setattr(LinearRegressionModel, "_solve", recording)
+        tree = AgingPredictor(model="m5p").fit(memory_traces).model
+        for node, allowed in allowed_attributes(tree):
+            for columns in solved[node.model]:
+                assert set(columns) <= allowed
+        assert sum(len(calls) for calls in solved.values()) <= 400
 
 
 class TestStructure:
