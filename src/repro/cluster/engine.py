@@ -27,10 +27,11 @@ The bit-for-bit guarantee rests on the one-second tick: every countdown
 resolves to its exact tick with the helpers of :mod:`repro.testbed.timeline`,
 and every time accumulator holds whole seconds, so one batched add equals
 its per-tick adds.  The batched fast-forward itself (lite begins,
-``(footprint, busy)`` segments, deferred OS settlement, fused marks) lives
-in the shared scheduler :mod:`repro.testbed.events` -- the same core that
-drives stand-alone ``TestbedSimulation`` runs -- with :class:`ClusterNode`
-adding only the fleet lifecycle on top.
+``(footprint, busy)`` segments, deferred OS settlement, fused marks) and the
+serving kernel every routed request goes through live in the shared core
+:mod:`repro.testbed.events` -- the same core that drives stand-alone
+``TestbedSimulation`` runs -- with :class:`ClusterNode` adding only the
+fleet lifecycle on top.
 
 The engine redistributes workload automatically at every membership change:
 
@@ -53,6 +54,7 @@ import functools
 import heapq
 import math
 import random
+from bisect import bisect
 from typing import Sequence
 
 from repro.cluster.balancer import LoadBalancer
@@ -61,7 +63,6 @@ from repro.cluster.node import ClusterNode, InjectorFactory, MonitorFactory, Nod
 from repro.cluster.routing import RoutingEpoch, RoutingPolicy
 from repro.cluster.status import ClusterOutcome, FleetStatus, NodeOutcome
 from repro.core.predictor import AgingPredictor
-from repro.testbed.events import next_fire_tick
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.thread_leak import ThreadLeakInjector
 from repro.testbed.timeline import first_tick_at_or_after, ticks_until_nonpositive
@@ -584,6 +585,12 @@ class ClusterEngine(FleetEngine):
             mix=self.mix,
             seed=random.Random(self.seed).randrange(2**31),
         )
+        # Request-draw caches of the routing loop: the mix is fixed for the
+        # engine's life (see WorkloadGenerator.interaction_chooser), and
+        # expovariate's lambd and the think cap replay the browsers' draw.
+        self._chooser = self.workload.interaction_chooser()
+        mean_think = self.workload.mean_think_time_s
+        self._think = (1.0 / mean_think, 10.0 * mean_think)
         self.nodes: list[ClusterNode] = [
             ClusterNode(
                 node_id=node_id,
@@ -606,7 +613,9 @@ class ClusterEngine(FleetEngine):
 
         # Event-driven scheduler state (populated on the first step()).
         self._events: list[tuple[int, int, int]] = []
-        self._browser_fires: list[tuple[int, int, int]] = []
+        #: Browser fires: (tick, browser_id, index, browser, rng.random), the
+        #: single-server loop's heap entries (see repro.testbed.events).
+        self._browser_fires: list[tuple] = []
         self._active_count = self.num_nodes
         self._candidates: list[ClusterNode] | None = None
 
@@ -615,7 +624,13 @@ class ClusterEngine(FleetEngine):
         for index, browser in enumerate(self.workload.browser_population()):
             heapq.heappush(
                 self._browser_fires,
-                (ticks_until_nonpositive(browser.remaining_think_s), browser.browser_id, index),
+                (
+                    ticks_until_nonpositive(browser.remaining_think_s),
+                    browser.browser_id,
+                    index,
+                    browser,
+                    browser._rng.random,
+                ),
             )
         for node in self.nodes:
             self._schedule_node_wakes(node, floor_tick=1)
@@ -750,14 +765,25 @@ class ClusterEngine(FleetEngine):
                     if node.accepting:
                         node.ev_serve_begin(current)
             browsers = self.workload.browser_population()
+            nbrowsers = len(browsers)
             policy = self.balancer.policy
             penalty = self.dropped_request_penalty_s
+            cum_weights, weights_total, weights_hi = self._chooser
+            think_lambd, think_cap = self._think
+            pop = heapq.heappop
+            push = heapq.heappush
+            ceil_ = math.ceil
+            log_ = math.log
             while browser_fires and browser_fires[0][0] == current:
-                _, browser_id, index = heapq.heappop(browser_fires)
-                if index >= len(browsers) or browsers[index].browser_id != browser_id:
+                entry = pop(browser_fires)
+                index = entry[2]
+                browser = entry[3]
+                if index >= nbrowsers or browsers[index] is not browser:
                     continue  # stale: the browser left in a mid-run load change
-                browser = browsers[index]
-                interaction = self.workload.draw_interaction(browser)
+                rand = entry[4]
+                # random.choices replayed as one bisect; a crash reroutes the
+                # same drawn interaction to the survivors.
+                choice = bisect(cum_weights, rand() * weights_total, 0, weights_hi)
                 response_time = penalty
                 while True:
                     candidates = self._candidates
@@ -766,12 +792,11 @@ class ClusterEngine(FleetEngine):
                     if not candidates:
                         # Full outage: the request is lost and the browser backs off.
                         dropped += 1
-                        browser.start_request(penalty)
                         break
                     target = policy.route(candidates)
                     target.ev_serve_begin(current)
                     try:
-                        outcome = target.serve(interaction)
+                        response_time = target.ev_serve(choice)
                     except ServerCrash as crash:
                         # The node died under this request: take it out of
                         # rotation and redistribute to the survivors.
@@ -779,16 +804,21 @@ class ClusterEngine(FleetEngine):
                         self.requests_rerouted += 1
                         decide_needed = True
                         continue
-                    target.ev_note_request()
-                    browser.start_request(outcome.response_time_s)
-                    response_time = outcome.response_time_s
+                    target.requests_served += 1
                     served += 1
                     break
-                think_time = browser.complete_request_and_rethink()
-                heapq.heappush(
-                    browser_fires,
-                    (next_fire_tick(current, response_time, think_time), browser_id, index),
+                # The browser completes eagerly and rethinks, exactly as in
+                # the single-server loop of repro.testbed.events.
+                browser.requests_issued += 1
+                browser.requests_completed += 1
+                think = -log_(1.0 - rand()) / think_lambd
+                if think > think_cap:
+                    think = think_cap
+                browser._remaining_think_s = think
+                next_fire = (
+                    current + (1 if response_time <= 1.0 else ceil_(response_time)) + ceil_(think)
                 )
+                push(browser_fires, (next_fire, entry[1], index, browser, rand))
 
         # -- drive the scheduled injector events
         if injections:
@@ -870,7 +900,8 @@ class ClusterEngine(FleetEngine):
             browser = browsers[index]
             first = j + ticks_until_nonpositive(browser.remaining_think_s)
             heapq.heappush(
-                self._browser_fires, (max(first, j + 1), browser.browser_id, index)
+                self._browser_fires,
+                (max(first, j + 1), browser.browser_id, index, browser, browser._rng.random),
             )
         heapq.heappush(self._events, (j + 1, _DECIDE, -1))
 

@@ -21,10 +21,12 @@ supplied, a fresh :class:`OnlineAgingMonitor` streaming its monitoring marks
 rolling rejuvenation coordinator consume.
 
 The event-driven fast path (the ``ev_*`` methods) is a thin lifecycle layer
-over the shared :class:`repro.testbed.events.TickSettlement` scheduler: each
-incarnation owns one settlement instance that performs the exact batched
-fast-forwards (lite begins, ``(footprint, busy)`` segments, deferred OS
-settlement, fused monitoring marks), while the node adds what only a fleet
+over the shared :mod:`repro.testbed.events` core: each incarnation owns one
+:class:`~repro.testbed.events.TickSettlement`, which performs the exact
+batched fast-forwards (lite begins, ``(footprint, busy)`` segments, deferred
+OS settlement, fused monitoring marks), and one
+:func:`~repro.testbed.events.serving_kernel`, which serves the requests the
+engine routes to the node (``ev_serve``); the node adds what only a fleet
 member has -- uptime/downtime accounting, drain/restart transitions and the
 on-line monitor.  The one observable concession of the deferred mode: the
 heap's GC event log stamps events with the last *settled* time, so cluster
@@ -49,12 +51,11 @@ from repro.lifecycle.manager import ManagedOnlineMonitor
 from repro.testbed.config import TestbedConfig
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.errors import ServerCrash
-from repro.testbed.events import TickSettlement
+from repro.testbed.events import TickSettlement, serving_kernel
 from repro.testbed.faults.injector import FaultInjector
 from repro.testbed.monitoring.collector import MonitoringSample, Trace
 from repro.testbed.clock import TICK_SECONDS, SimulationClock
 from repro.testbed.timeline import ticks_until_nonpositive
-from repro.testbed.tpcw.interactions import Interaction
 from repro.cluster.routing import RoutingEpoch
 from repro.telemetry import runtime as telemetry_runtime
 
@@ -189,6 +190,8 @@ class ClusterNode:
         self.unplanned_downtime_seconds = 0.0
         self.crashes = 0
         self.rejuvenations = 0
+        #: Requests served over the node's life, counted by the engine that
+        #: routes them to it.
         self.requests_served = 0
 
         # Event-driven lifecycle bookkeeping (the settlement itself lives in
@@ -310,12 +313,13 @@ class ClusterNode:
         self._bump_forecast()
         self.state = NodeState.ACTIVE
         self._tel_event("node_up", incarnation=incarnation)
-        # Fresh shared-scheduler settlement for the incarnation; the hottest
-        # entry points are aliased straight onto the node so the engine pays
-        # no extra indirection per routed request.
+        # Fresh shared-scheduler settlement and serving kernel for the
+        # incarnation; the hottest entry points are aliased straight onto
+        # the node so the engine pays no extra indirection per routed
+        # request.
         self.settlement = TickSettlement(self.simulation, base_tick=base_tick)
+        self.ev_serve = serving_kernel(self.simulation.server)
         self.ev_serve_begin = self.settlement.serve_begin
-        self.ev_note_request = self.settlement.note_request
         self.ev_sync_begin = self.settlement.sync_begin
         self.ev_settle_open = self.settlement.settle_open
 
@@ -397,20 +401,14 @@ class ClusterNode:
         self.monitor = None
         self.latest_prediction = None
         self._bump_forecast()
-        # Release the dead incarnation's settlement too: it (and the aliased
-        # bound methods) would otherwise pin the whole retired simulation for
-        # the downtime.  Every event-path caller guards on live/ACTIVE state.
+        # Release the dead incarnation's settlement and kernel too: they (and
+        # the aliased bound methods) would otherwise pin the whole retired
+        # simulation for the downtime.  Every event-path caller guards on
+        # live/ACTIVE state.
         self.settlement = None
-        del self.ev_serve_begin, self.ev_note_request, self.ev_sync_begin, self.ev_settle_open
+        del self.ev_serve, self.ev_serve_begin, self.ev_sync_begin, self.ev_settle_open
 
-    # ------------------------------------------------------------------ serve
-
-    def serve(self, interaction: Interaction):
-        """Serve one routed request (propagates ``ServerCrash``)."""
-        assert self.simulation is not None
-        outcome = self.simulation.serve(interaction)
-        self.requests_served += 1
-        return outcome
+    # ------------------------------------------- injectors, crashes and marks
 
     def drive_injectors(self) -> None:
         """Run this tick's fault injections (propagates ``ServerCrash``)."""
@@ -490,9 +488,10 @@ class ClusterNode:
 
     # ------------------------------------------------ event-driven fast path
     #
-    # Settlement (lite begins, segments, batched OS replay, fused marks) is
-    # the shared scheduler's job -- see repro.testbed.events.TickSettlement,
-    # whose hottest methods are aliased onto the node in _start_incarnation.
+    # Settlement (lite begins, segments, batched OS replay, fused marks) and
+    # serving are the shared core's job -- see repro.testbed.events, whose
+    # settlement methods and kernel are aliased onto the node in
+    # _start_incarnation.
     # What remains here is the lifecycle the settlement cannot know about:
     # downtime charged lazily per down tick and the drain/restart
     # transitions resolved into absolute ticks with the exact countdown

@@ -2,6 +2,6 @@
 
 from repro.testbed.appserver.servlet import Servlet, ServletRegistry
 from repro.testbed.appserver.thread_pool import ThreadPool
-from repro.testbed.appserver.tomcat import RequestOutcome, TomcatServer
+from repro.testbed.appserver.tomcat import TomcatServer
 
-__all__ = ["RequestOutcome", "Servlet", "ServletRegistry", "ThreadPool", "TomcatServer"]
+__all__ = ["Servlet", "ServletRegistry", "ThreadPool", "TomcatServer"]

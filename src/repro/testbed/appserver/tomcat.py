@@ -3,32 +3,24 @@
 ``TomcatServer`` is the point where the other substrate pieces meet: requests
 arriving from the TPC-W workload generator take a worker thread, allocate
 transient memory in the JVM heap, query the database and produce a response
-time that grows with contention.  The per-interval counters it maintains
+time that grows with contention.  The per-interval counters it holds
 (completed requests, accumulated response time, open connections) are exactly
 what the monitoring collector needs to emit the Table 2 raw variables.
+
+The server holds the state; the request-serving semantics live in one place,
+the serving kernel of :mod:`repro.testbed.events`
+(:func:`~repro.testbed.events.serving_kernel`), which both exact engines run.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.testbed.appserver.servlet import ServletRegistry
 from repro.testbed.appserver.thread_pool import ThreadPool
 from repro.testbed.config import TestbedConfig
 from repro.testbed.database.mysql import MySQLServer
 from repro.testbed.jvm.heap import GenerationalHeap
-from repro.testbed.tpcw.interactions import Interaction
 
-__all__ = ["TomcatServer", "RequestOutcome"]
-
-
-@dataclass(frozen=True)
-class RequestOutcome:
-    """What happened to one request submitted to the server."""
-
-    interaction_name: str
-    response_time_s: float
-    queued: bool
+__all__ = ["TomcatServer"]
 
 
 class TomcatServer:
@@ -75,57 +67,6 @@ class TomcatServer:
     def begin_tick(self) -> None:
         """Reset the per-tick concurrency counter (called by the engine)."""
         self._concurrent_this_tick = 0
-
-    # -------------------------------------------------------------- requests
-
-    def handle_request(self, interaction: Interaction) -> RequestOutcome:
-        """Serve one request and return its simulated response time.
-
-        The call allocates the interaction's transient memory (which may
-        trigger minor/major GCs or an OutOfMemoryError inside the heap),
-        performs the interaction's database queries and computes the response
-        time from the base service demand inflated by thread contention.
-        """
-        self._concurrent_this_tick += 1
-        self.thread_pool.set_concurrency(self._concurrent_this_tick)
-        queued = self._concurrent_this_tick > self.thread_pool.worker_threads
-
-        servlet = self.servlets.get(interaction.name)
-        servlet.invoke()
-
-        self.heap.allocate_transient(self.config.request_memory_mb * interaction.memory_factor)
-        db_time = self.database.execute_queries(interaction.db_queries)
-
-        service_time = self.config.base_service_time_s * interaction.service_demand_factor
-        contention = self._contention_factor()
-        response_time = service_time * contention + db_time
-        if queued:
-            # A request that had to wait for a worker sees roughly one extra
-            # service quantum of queueing delay.
-            response_time += service_time
-
-        self.total_requests += 1
-        self.requests_since_sample += 1
-        self.response_time_since_sample += response_time
-        if queued:
-            self.queued_since_sample += 1
-        return RequestOutcome(interaction.name, response_time, queued)
-
-    def _contention_factor(self) -> float:
-        """Response-time inflation due to CPU and thread contention.
-
-        A light-weight M/M/c-style approximation: response time grows with the
-        ratio of in-flight requests to cores, and sharply once the heap is
-        nearly full (GC pressure) -- the gradual performance degradation that,
-        per the paper, accompanies software aging.
-        """
-        in_flight = max(self._concurrent_this_tick, 1)
-        cpu_pressure = in_flight / (self.config.cpu_cores * 4.0)
-        heap_pressure = 0.0
-        headroom_fraction = self.heap.headroom_mb / max(self.heap.old_max_mb, 1.0)
-        if headroom_fraction < 0.10:
-            heap_pressure = (0.10 - headroom_fraction) * 30.0
-        return 1.0 + cpu_pressure + heap_pressure
 
     # ------------------------------------------------------------ monitoring
 

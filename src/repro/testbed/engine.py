@@ -20,16 +20,18 @@ gaps in exact batches.  Its traces are golden-tested bit for bit against the
 original tick-everything loop, which the test suite keeps as its reference.
 
 Besides the self-driven run, the simulation exposes a step-wise API
-(:meth:`~TestbedSimulation.begin`, :meth:`~TestbedSimulation.serve`,
+(:meth:`~TestbedSimulation.begin`,
 :meth:`~TestbedSimulation.drive_injectors`,
 :meth:`~TestbedSimulation.end_tick`,
 :meth:`~TestbedSimulation.record_crash`) so an external driver -- the
 clustered deployment of :mod:`repro.cluster` -- can advance many nodes on a
 shared clock and route requests from a fleet-level load balancer instead of
-the node's own workload generator.  :meth:`~TestbedSimulation.begin_tick`
-is the per-tick primitive of the reference loop: it advances the clock one
-tick and prepares every component, which the event scheduler does in
-batches instead.
+the node's own workload generator; routed requests go through the serving
+kernel of :mod:`repro.testbed.events`, built over the simulation's
+``server``.  :meth:`~TestbedSimulation.begin_tick` is the per-tick
+primitive of the reference loop: it advances the clock one tick and
+prepares every component, which the event scheduler does in batches
+instead.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.testbed.appserver.thread_pool import ThreadPool
-from repro.testbed.appserver.tomcat import RequestOutcome, TomcatServer
+from repro.testbed.appserver.tomcat import TomcatServer
 from repro.testbed.clock import TICK_SECONDS, SimulationClock
 from repro.testbed.config import TestbedConfig
 from repro.testbed.database.mysql import MySQLServer
@@ -48,7 +50,6 @@ from repro.testbed.faults.injector import FaultInjector
 from repro.testbed.jvm.heap import GenerationalHeap
 from repro.testbed.monitoring.collector import MetricsCollector, MonitoringSample, Trace
 from repro.testbed.osmodel.system import OperatingSystem
-from repro.testbed.tpcw.interactions import Interaction
 from repro.testbed.tpcw.workload import WorkloadGenerator, WorkloadMix
 from repro.telemetry import runtime as telemetry_runtime
 
@@ -180,7 +181,7 @@ class TestbedSimulation:
         """Mark the simulation as started and return its (live) trace.
 
         External drivers call this once, then advance the simulation with
-        :meth:`serve` / :meth:`drive_injectors` / :meth:`end_tick` and the
+        the serving kernel, :meth:`drive_injectors`, :meth:`end_tick` and the
         tick primitives; :meth:`run` starts its scheduler with it too.
         """
         if self._finished:
@@ -256,10 +257,6 @@ class TestbedSimulation:
         if self.telemetry is not None:
             self._telemetry_mark(sample)
         return sample
-
-    def serve(self, interaction: Interaction) -> RequestOutcome:
-        """Serve one externally routed request (may raise ``ServerCrash``)."""
-        return self.server.handle_request(interaction)
 
     def drive_injectors(self, now: float) -> None:
         """Run the attached fault injectors (may raise ``ServerCrash``)."""

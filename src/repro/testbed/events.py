@@ -1,33 +1,45 @@
 """The shared event-driven simulation core.
 
-One scheduler now serves both engines.  The machinery in this module was
-born inside the event-driven cluster engine (``repro.cluster``), where it
-fast-forwarded whole fleets from interesting event to interesting event; it
-was promoted here so that *stand-alone* testbed runs -- the paper's
-experiments 4.1-4.4 and every cluster training run -- ride the same fast
-path.
+One scheduler and one serving kernel serve both exact engines.  The
+machinery in this module was born inside the event-driven cluster engine
+(``repro.cluster``), where it fast-forwarded whole fleets from interesting
+event to interesting event; it was promoted here so that *stand-alone*
+testbed runs -- the paper's experiments 4.1-4.4 and every cluster training
+run -- ride the same fast path.
 
-Two layers live here:
+Three layers live here:
 
 ``TickSettlement``
     The exact batched fast-forward of one :class:`TestbedSimulation`.  It
     owns the deferred per-tick state the per-second reference engine would
     have produced -- the OS-settlement cursor, the open "lite begun" tick
-    and its request count, and the recorded ``(tick, requests, footprint,
-    busy)`` segments -- and replays it bit-for-bit on demand.  The cluster's
+    and the recorded ``(tick, requests, footprint, busy)`` segments -- and
+    replays it bit-for-bit on demand.  The cluster's
     :class:`~repro.cluster.node.ClusterNode` delegates all of its settlement
     to this class (adding only lifecycle on top), and the single-server
     event loop below drives one instance directly.
+
+``serving_kernel``
+    The one implementation of the request-serving semantics: a closure,
+    built once per simulation incarnation, that serves one request on the
+    open tick and returns its response time.  It is a fused replay of the
+    per-second reference path (the thread pool's concurrency update, the
+    servlet invocation and its listeners, the transient heap allocation,
+    the database queries and the contention-inflated response time) with
+    identical operations in identical order, and it writes every component
+    field through on each request, so anything that reads the components
+    mid-tick -- least-connections routing, a crash and its reroute, the
+    end-of-incarnation telemetry -- sees exactly the reference state.  Both
+    exact loops call it: ``run_event_driven`` below and the cluster
+    engine's routing loop.
 
 ``run_event_driven``
     The event-driven replacement for ``TestbedSimulation.run``'s per-second
     loop.  Browser request arrivals are scheduled on a heap from each
     browser's think time, monitoring marks / injector firings / scheduled
-    actions are wake-up events, and the request-serving inner loop is an
-    *inline replay* of the per-second hot path (``TomcatServer.
-    handle_request``, ``random.choices``, the browsers' think-time draws)
-    that produces bit-for-bit identical component state with a fraction of
-    the interpreter overhead.
+    actions are wake-up events, and each request is drawn (``random.choices``
+    replayed as one ``bisect``), served by the kernel and followed by the
+    browser's inline think-time draw, bit-for-bit equal to the reference.
 
 Exactness contract (shared with the cluster engine, see
 ``repro.testbed.timeline``):
@@ -61,38 +73,26 @@ from bisect import bisect
 from heapq import heappop, heappush
 from math import ceil as _ceil
 from math import log as _log
+from typing import Callable
 
 from repro.testbed.clock import TICK_SECONDS
 from repro.testbed.errors import ServerCrash
 from repro.testbed.timeline import first_tick_at_or_after, ticks_until_nonpositive
+from repro.testbed.tpcw.interactions import INTERACTIONS
 from repro.telemetry.hub import ENGINE as _ENGINE_CHANNEL
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.testbed.appserver.tomcat import TomcatServer
     from repro.testbed.engine import TestbedSimulation
     from repro.testbed.monitoring.collector import MonitoringSample, Trace
 
-__all__ = ["TickSettlement", "next_fire_tick", "run_event_driven"]
+__all__ = ["TickSettlement", "run_event_driven", "serving_kernel"]
 
 #: Event kinds of the single-server scheduler, in within-tick processing
 #: order: scheduled actions apply at the tick's begin (like the reference
 #: ``begin_tick``), injectors drive after the tick's requests, and the
 #: monitoring mark closes the tick.
 _ACTION, _MARK, _INJECTOR = 0, 1, 2
-
-
-def next_fire_tick(current: int, response_s: float, think_s: float) -> int:
-    """Tick at which a browser served at ``current`` issues its next request.
-
-    Replays the reference engine's two countdowns: the browser waits out the
-    response (at least one tick -- the per-second loop can only notice a
-    completed response on the following tick), draws its think time on the
-    completion tick, and fires on the tick the think countdown crosses zero.
-    """
-    return (
-        current
-        + (1 if response_s <= 1.0 else _ceil(response_s))
-        + ticks_until_nonpositive(think_s)
-    )
 
 
 class TickSettlement:
@@ -103,7 +103,8 @@ class TickSettlement:
     "interesting" ticks:
 
     * serving a request performs a *lite begin* -- only the per-tick
-      counters reset; the clock and the OS model settle later;
+      counters reset; the clock and the OS model settle later, and the
+      tick's request count is the server's own per-tick counter;
     * each served tick is recorded as a ``(tick, requests, footprint,
       busy)`` segment, so the deferred per-tick OS updates replay with
       exactly the inputs the reference engine would have used (nothing can
@@ -127,7 +128,6 @@ class TickSettlement:
         "base_tick",
         "_os_tick",
         "_open_tick",
-        "_open_reqs",
         "_boundary",
         "_segments",
         "_telemetry",
@@ -139,9 +139,9 @@ class TickSettlement:
         self.base_tick = base_tick
         #: Scheduler tick through which deferred per-tick OS updates settled.
         self._os_tick = base_tick
-        #: Lite-begun tick awaiting settlement, and its served requests.
+        #: Lite-begun tick awaiting settlement (its served requests are the
+        #: server's ``_concurrent_this_tick``, which only its begin resets).
         self._open_tick: int | None = None
-        self._open_reqs = 0
         #: (footprint, busy) before the first lite tick after a settlement.
         self._boundary: tuple[float, int] | None = None
         #: Closed lite ticks: (tick, requests, footprint_after, busy_after).
@@ -183,11 +183,6 @@ class TickSettlement:
         sim.server.begin_tick()
         sim.database.begin_tick()
         self._open_tick = j
-        self._open_reqs = 0
-
-    def note_request(self) -> None:
-        """Count one request served in the open lite tick."""
-        self._open_reqs += 1
 
     def close_open(self) -> None:
         """Snapshot and close the open lite tick into the segment list."""
@@ -198,7 +193,7 @@ class TickSettlement:
         self._segments.append(
             (
                 open_tick,
-                self._open_reqs,
+                sim.server._concurrent_this_tick,
                 sim.server.memory_footprint_mb(),
                 sim.thread_pool.busy_workers + 1,
             )
@@ -212,7 +207,6 @@ class TickSettlement:
         reference engine never runs ``end_tick`` for a crashed tick.
         """
         self._open_tick = None
-        self._open_reqs = 0
 
     # ------------------------------------------------------------- settlement
 
@@ -276,7 +270,7 @@ class TickSettlement:
             1,
             tomcat_footprint_mb=sim.server.memory_footprint_mb(),
             busy_threads=sim.thread_pool.busy_workers + 1,
-            requests_first_tick=self._open_reqs,
+            requests_first_tick=sim.server._concurrent_this_tick,
         )
         self._os_tick = open_tick
         self._open_tick = None
@@ -311,7 +305,6 @@ class TickSettlement:
         sim.server.begin_tick()
         sim.database.begin_tick()
         self._open_tick = j
-        self._open_reqs = 0
 
     def settle_through(self, j: int) -> None:
         """Settle all lazy state through the *end* of tick ``j``.
@@ -377,7 +370,7 @@ class TickSettlement:
             if self.clock_tick() < j:
                 self.advance_clock_to(j)
                 sim.heap.set_time(sim.clock.now)
-            sample = sim.end_tick(sim.clock.now, self._open_reqs, workload_ebs)
+            sample = sim.end_tick(sim.clock.now, sim.server._concurrent_this_tick, workload_ebs)
             self._open_tick = None
             self._os_tick = j
             return sample
@@ -411,21 +404,39 @@ class TickSettlement:
         return sample
 
 
-# --------------------------------------------------------------------- runner
+# --------------------------------------------------------------------- kernel
 
 
-def _prep_interactions(sim: "TestbedSimulation"):
-    """Workload caches of the fused serving loop.
+def serving_kernel(server: "TomcatServer") -> Callable[[int], float]:
+    """The request-serving kernel of ``server``: ``serve(index) -> seconds``.
 
-    Returns ``(cum_weights, total, hi, prepped)`` where ``prepped[i]`` holds
-    the per-interaction constants of ``interactions[i]``: its servlet, the
-    transient allocation, the base service time and the query count.  The
-    products are computed from the same operands as the per-request path, so
-    precomputing them is bit-for-bit neutral.
+    ``serve(i)`` serves one request for ``INTERACTIONS[i]`` (the order
+    :meth:`WorkloadGenerator.interaction_chooser` draws its indices in) on
+    the open tick -- the caller has begun it, with ``server.begin_tick`` and
+    ``database.begin_tick`` or a settlement's lite begin -- and returns the
+    response time.  It replays, in the same order and with the same float
+    operations, the per-second reference path the test suite keeps in its
+    oracle: ``ThreadPool.set_concurrency``, ``Servlet.invoke`` with its
+    listeners, the heap's transient allocation (its single-chunk case
+    inline), ``MySQLServer.execute_queries``, the contention factor and the
+    server's request counters.  Every component field is written through
+    before the call returns, so mid-tick readers (least-connections routing,
+    a crash and its reroute, end-of-incarnation telemetry) see the reference
+    state.  A listener or the allocation may raise
+    :class:`~repro.testbed.errors.ServerCrash`, leaving the components
+    exactly as the reference path leaves them.
+
+    Each interaction's servlet, transient megabytes, base service time and
+    query count, and the heap, pool and database limits, are bound here, so
+    build one kernel per simulation incarnation.  The products are computed
+    from the same operands as the reference, so binding them is bit-for-bit
+    neutral.
     """
-    interactions, cum_weights, total, hi = sim.workload.interaction_chooser()
-    config = sim.config
-    servlets = sim.server.servlets
+    config = server.config
+    heap = server.heap
+    pool = server.thread_pool
+    db = server.database
+    servlets = server.servlets
     prepped = [
         (
             servlets.get(interaction.name),
@@ -433,9 +444,78 @@ def _prep_interactions(sim: "TestbedSimulation"):
             config.base_service_time_s * interaction.service_demand_factor,
             interaction.db_queries,
         )
-        for interaction in interactions
+        for interaction in INTERACTIONS
     ]
-    return cum_weights, total, hi, prepped
+    young_cap = heap.young_capacity_mb
+    old_max = heap.old_max_mb
+    headroom_denom = old_max if old_max >= 1.0 else 1.0  # max(old_max_mb, 1.0)
+    cores4 = config.cpu_cores * 4.0
+    base_workers = pool.base_threads
+    max_threads = pool.max_threads
+    max_conn = db.max_connections
+    base_query = db.base_query_time_s
+
+    def serve(index: int) -> float:
+        servlet, transient_mb, service_time, queries = prepped[index]
+        # -- ThreadPool.set_concurrency
+        concurrent = server._concurrent_this_tick + 1
+        server._concurrent_this_tick = concurrent
+        avail = max_threads - pool._leaked
+        busy = concurrent if concurrent < avail else avail
+        pool._busy_workers = busy
+        needed = busy if busy > base_workers else base_workers
+        peak = pool._peak_workers
+        if needed > peak:
+            peak = needed if needed < avail else avail
+            pool._peak_workers = peak
+        queued = concurrent > peak
+        # -- Servlet.invoke (listeners may inject leaks and crash)
+        servlet.invocations += 1
+        listeners = servlet._listeners
+        if listeners:
+            for listener in listeners:
+                listener(servlet)
+        # -- GenerationalHeap.allocate_transient, single-chunk case inline
+        young = heap._young_used
+        if 0.0 < transient_mb < young_cap - young:
+            young += transient_mb
+            heap._young_used = young
+            if young >= young_cap:
+                heap._minor_gc()
+        else:
+            heap.allocate_transient(transient_mb)
+        # -- MySQLServer.execute_queries
+        if queries:
+            active = db._active_connections
+            active = active + 1 if active < max_conn else max_conn
+            db._active_connections = active
+            db.total_queries += queries
+            db_time = queries * base_query * (1.0 + active / max_conn)
+        else:
+            db_time = 0.0
+        # -- the contention factor (CPU, plus GC pressure near a full Old
+        #    zone) and the response time; a request that found every worker
+        #    busy waits about one more service quantum
+        headroom = (
+            old_max - (heap._old_leaked + heap._old_retained + heap._old_floating)
+        ) / headroom_denom
+        if headroom < 0.10:
+            factor = 1.0 + concurrent / cores4 + (0.10 - headroom) * 30.0
+        else:
+            factor = 1.0 + concurrent / cores4 + 0.0
+        response_time = service_time * factor + db_time
+        if queued:
+            response_time = response_time + service_time
+            server.queued_since_sample += 1
+        server.total_requests += 1
+        server.requests_since_sample += 1
+        server.response_time_since_sample += response_time
+        return response_time
+
+    return serve
+
+
+# --------------------------------------------------------------------- runner
 
 
 def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
@@ -461,14 +541,8 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
     pool = sim.thread_pool
     db = sim.database
 
-    # Hot-loop constants of the inline serving replay.
-    young_cap = heap_.young_capacity_mb
-    old_max = heap_.old_max_mb
-    headroom_denom = old_max if old_max >= 1.0 else 1.0  # max(old_max_mb, 1.0)
-    cores4 = config.cpu_cores * 4.0
-    base_workers = pool.base_threads
-    max_conn = db.max_connections
-    base_query = db.base_query_time_s
+    serve = serving_kernel(server)
+    cum_weights, weights_total, weights_hi = workload.interaction_chooser()
     mean_think = workload.mean_think_time_s
     think_lambd = 1.0 / mean_think  # expovariate's lambd, hoisted
     think_cap = 10.0 * mean_think  # browser._MAX_THINK_FACTOR * mean
@@ -497,7 +571,6 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
         for idx, b in enumerate(browsers)
     ]
     fires.sort()
-    cum_weights, weights_total, weights_hi, prepped = _prep_interactions(sim)
 
     # Hot-loop local bindings (globals and bound methods resolved once).
     push = heappush
@@ -560,7 +633,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                 # re-arm the injector wake from the new horizons.
                 browsers = workload.browser_population()
                 nbrowsers = len(browsers)
-                cum_weights, weights_total, weights_hi, prepped = _prep_interactions(sim)
+                cum_weights, weights_total, weights_hi = workload.interaction_chooser()
                 live_ids = {entry[1] for entry in fires}
                 for idx, browser in enumerate(browsers):
                     if browser.browser_id not in live_ids:
@@ -594,7 +667,7 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                     segments.append(
                         (
                             open_tick,
-                            settle._open_reqs,
+                            server._concurrent_this_tick,
                             heap_._young_used
                             + (heap_._old_leaked + heap_._old_retained + heap_._old_floating)
                             + perm_mb
@@ -612,25 +685,12 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                 server._concurrent_this_tick = 0  # server.begin_tick
                 db._active_connections = 0  # database.begin_tick
                 settle._open_tick = current
-                settle._open_reqs = 0
                 clock._ticks = current  # advance_clock_to, one batched advance
                 heap_._now = current * TICK_SECONDS  # heap.set_time(clock.now)
-            # Fused inline replay of the per-second serving path.  Each block
-            # mirrors one callee of the reference loop -- random.choices,
-            # ThreadPool.set_concurrency, Servlet.invoke, GenerationalHeap.
-            # allocate_transient (single-chunk case), MySQLServer.
-            # execute_queries, TomcatServer handle_request/_contention_factor,
-            # EmulatedBrowser start_request + complete_request_and_rethink --
-            # with identical operations in identical order, so every float,
-            # every counter and every RNG stream stays bit-for-bit equal.
-            concurrent = 0
-            avail = pool.max_threads - pool._leaked
-            peak = pool._peak_workers
-            served = 0
-            rt_since = server.response_time_since_sample
-            queued_since = server.queued_since_sample
-            db_active = 0  # reset by the tick's database.begin_tick
-            db_queries = 0
+            # Each request replays random.choices as one bisect, is served by
+            # the kernel, and its browser completes eagerly and rethinks: the
+            # think draw replays Random.expovariate on the same stream, so
+            # every RNG stream stays bit-for-bit equal to the reference.
             try:
                 while fires and fires[0][0] == current:
                     entry = pop(fires)
@@ -639,60 +699,17 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                     if idx >= nbrowsers or browsers[idx] is not browser:
                         continue  # replaced by a mid-run population change
                     rand = entry[4]
-                    choice = pick(cum_weights, rand() * weights_total, 0, weights_hi)
-                    servlet, transient_mb, service_time, queries = prepped[choice]
-                    # -- ThreadPool.set_concurrency
-                    concurrent += 1
-                    busy = concurrent if concurrent < avail else avail
-                    needed = busy if busy > base_workers else base_workers
-                    if needed > peak:
-                        peak = needed if needed < avail else avail
-                    queued = concurrent > peak
-                    # -- Servlet.invoke (listeners may inject leaks and crash)
-                    servlet.invocations += 1
-                    listeners = servlet._listeners
-                    if listeners:
-                        for listener in listeners:
-                            listener(servlet)
-                    # -- GenerationalHeap.allocate_transient, single-chunk case
-                    young = heap_._young_used
-                    if 0.0 < transient_mb < young_cap - young:
-                        young += transient_mb
-                        heap_._young_used = young
-                        if young >= young_cap:
-                            heap_._minor_gc()
-                    else:
-                        heap_.allocate_transient(transient_mb)
-                    # -- MySQLServer.execute_queries
-                    if queries:
-                        db_active = db_active + 1 if db_active < max_conn else max_conn
-                        db_queries += queries
-                        db_time = queries * base_query * (1.0 + db_active / max_conn)
-                    else:
-                        db_time = 0.0
-                    # -- TomcatServer._contention_factor and response time
-                    headroom = (
-                        old_max - (heap_._old_leaked + heap_._old_retained + heap_._old_floating)
-                    ) / headroom_denom
-                    if headroom < 0.10:
-                        factor = 1.0 + concurrent / cores4 + (0.10 - headroom) * 30.0
-                    else:
-                        factor = 1.0 + concurrent / cores4 + 0.0
-                    response_time = service_time * factor + db_time
-                    if queued:
-                        response_time = response_time + service_time
-                        queued_since += 1
-                    served += 1
-                    rt_since += response_time
-                    # -- the browser completes eagerly and rethinks; the think
-                    #    draw replays Random.expovariate on the same stream
+                    response_time = serve(pick(cum_weights, rand() * weights_total, 0, weights_hi))
                     browser.requests_issued += 1
                     browser.requests_completed += 1
                     think = -log_(1.0 - rand()) / think_lambd
                     if think > think_cap:
                         think = think_cap
                     browser._remaining_think_s = think
-                    # -- next_fire_tick inlined (the think draw is non-negative)
+                    # The response holds the browser for at least one tick
+                    # (the reference notices a completed response only on
+                    # the next tick); the non-negative think countdown then
+                    # ends on its ceiling.
                     next_fire = (
                         current
                         + (1 if response_time <= 1.0 else ceil_(response_time))
@@ -703,19 +720,6 @@ def run_event_driven(sim: "TestbedSimulation", max_seconds: float) -> "Trace":
                 settle.discard_open()
                 settle.replay_os_to(current - 1)
                 sim.record_crash(clock.now, crash)
-            finally:
-                if concurrent:
-                    server._concurrent_this_tick = concurrent
-                    pool._busy_workers = concurrent if concurrent < avail else avail
-                    pool._peak_workers = peak
-                    server.total_requests += served
-                    server.requests_since_sample += served
-                    server.response_time_since_sample = rt_since
-                    server.queued_since_sample = queued_since
-                    db._active_connections = db_active
-                    db.total_queries += db_queries
-                    settle._open_reqs = concurrent
-            if trace.crashed:
                 break
 
         # ------------------------------------------------------- injector drives

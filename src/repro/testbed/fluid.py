@@ -304,8 +304,9 @@ class FluidFleet:
         )
 
         # Response model: mean service demand inflated by CPU and GC pressure
-        # plus database time (exact: TomcatServer._contention_factor and
-        # MySQLServer.execute_queries, evaluated at the tick's mean load).
+        # plus database time (exact: the contention factor and the database
+        # time of repro.testbed.events.serving_kernel, evaluated at the
+        # tick's mean load).
         inflight = np.maximum(arrivals * self.response, live_f)
         headroom_frac = (self.old_max - self.old_used) / np.maximum(self.old_max, 1.0)
         heap_pressure = np.where(headroom_frac < 0.10, (0.10 - headroom_frac) * 30.0, 0.0)

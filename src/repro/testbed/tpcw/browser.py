@@ -64,6 +64,9 @@ class EmulatedBrowser:
         return self._remaining_think_s
 
     def _draw_think_time(self) -> float:
+        # The event-driven engines replay this draw inline when they complete
+        # a request (``repro.testbed.events``): the same ``random()`` call
+        # on the same stream, the same expovariate arithmetic and cap.
         think = self._rng.expovariate(1.0 / self.mean_think_time_s)
         return min(think, _MAX_THINK_FACTOR * self.mean_think_time_s)
 
@@ -96,25 +99,6 @@ class EmulatedBrowser:
         self._waiting = True
         self._remaining_response_s = response_time_s
         self.requests_issued += 1
-
-    def complete_request_and_rethink(self) -> float:
-        """Resolve the outstanding request now and draw the next thinking time.
-
-        Event-driven fast path: the per-tick engine resolves a request by
-        decrementing ``_remaining_response_s`` tick by tick and drawing the
-        new thinking time on the tick the wait elapses.  The event-driven
-        engine knows that completion tick in advance, so it performs the
-        state change (and the think-time draw, which is the next value of
-        this browser's private random stream either way) eagerly and returns
-        the drawn thinking time for scheduling.
-        """
-        if not self._waiting:
-            raise RuntimeError(f"browser {self.browser_id} has no outstanding request to complete")
-        self._waiting = False
-        self._remaining_response_s = 0.0
-        self.requests_completed += 1
-        self._remaining_think_s = self._draw_think_time()
-        return self._remaining_think_s
 
     def choose_interaction(self, interactions: list[Interaction], weights: list[float]) -> Interaction:
         """Pick the next interaction according to the active workload mix."""

@@ -102,23 +102,21 @@ class WorkloadGenerator:
         """
         return self._browsers
 
-    def draw_interaction(self, browser: EmulatedBrowser) -> Interaction:
-        """Draw ``browser``'s next interaction under the active mix."""
-        return browser.choose_interaction(self._interactions, self._weights)
-
-    def interaction_chooser(self) -> tuple[list[Interaction], list[float], float, int]:
-        """The active mix as ``(interactions, cum_weights, total, hi)``.
+    def interaction_chooser(self) -> tuple[list[float], float, int]:
+        """The active mix as ``(cum_weights, total, hi)``.
 
         Replicates ``random.choices``' internals (accumulated weights,
         ``cum_weights[-1] + 0.0`` total, ``hi = n - 1`` bisect bound) so the
-        event-driven engine can draw each browser's next interaction as
-        ``interactions[bisect(cum_weights, rng.random() * total, 0, hi)]`` --
-        the same single ``random()`` call on the same stream, the same float
-        comparison, the same result, without the per-call list building.
-        Callers must refresh after a mid-run ``set_mix``.
+        event-driven engines can draw each browser's next interaction as the
+        index ``bisect(cum_weights, rng.random() * total, 0, hi)`` into
+        ``INTERACTIONS`` -- the same single ``random()`` call on the same
+        stream, the same float comparison, the same interaction, without the
+        per-call list building.  The serving kernel of
+        :mod:`repro.testbed.events` takes that index.  Callers must refresh
+        after a mid-run ``set_mix``.
         """
         cum_weights = list(accumulate(self._weights))
-        return self._interactions, cum_weights, cum_weights[-1] + 0.0, len(cum_weights) - 1
+        return cum_weights, cum_weights[-1] + 0.0, len(cum_weights) - 1
 
     def set_num_browsers(self, num_browsers: int) -> None:
         """Resize the EB population (used only by ablation scenarios)."""

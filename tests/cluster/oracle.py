@@ -2,7 +2,8 @@
 
 ``PerSecondClusterEngine`` is the original cluster loop: every tick it
 advances every node, ticks every browser and routes each issued request
-through :func:`route`, the balancer's filter of the accepting nodes.  The
+through :func:`route`, the balancer's filter of the accepting nodes, to
+:func:`serve`, the object serving path of ``tests/testbed/oracle.py``.  The
 event-driven ``ClusterEngine`` must reproduce its outcomes, monitoring
 samples and sim-channel telemetry bit for bit, under any boundary mutation.
 
@@ -24,6 +25,15 @@ from repro.experiments import cluster as experiments_cluster
 from repro.telemetry.hub import ENGINE
 from repro.testbed.clock import TICK_SECONDS
 from repro.testbed.errors import ServerCrash
+from repro.testbed.tpcw.interactions import Interaction
+from tests.testbed.oracle import RequestOutcome, handle_request
+
+
+def serve(node: ClusterNode, interaction: Interaction) -> RequestOutcome:
+    """Serve one routed request on ``node`` through the object path."""
+    outcome = handle_request(node.simulation.server, interaction)
+    node.requests_served += 1
+    return outcome
 
 
 def route(balancer: LoadBalancer, nodes: Sequence[ClusterNode]) -> ClusterNode | None:
@@ -109,7 +119,7 @@ class PerSecondClusterEngine(ClusterEngine):
                     browser.start_request(self.dropped_request_penalty_s)
                     break
                 try:
-                    outcome = target.serve(interaction)
+                    outcome = serve(target, interaction)
                 except ServerCrash as crash:
                     # The node died under this request: take it out of
                     # rotation and redistribute to the survivors.

@@ -28,18 +28,49 @@ from repro.experiments.scenarios import CLUSTER_SCENARIO_KINDS, ClusterScenario
 from tests.cluster.oracle import PerSecondClusterEngine
 
 
+def component_counters(engine):
+    """Every component counter of each node's live incarnation (``None`` for
+    a node that is down), and the fleet browsers' summed ``requests_issued``.
+
+    ``requests_completed`` is left out: the per-second loop completes a
+    response a tick after the event engine does.
+    """
+    nodes = []
+    for node in engine.nodes:
+        simulation = node.simulation
+        if simulation is None:
+            nodes.append(None)
+            continue
+        server = simulation.server
+        collector = simulation.heap.collector
+        nodes.append(
+            {
+                "total_requests": server.total_requests,
+                "queued_since_sample": server.queued_since_sample,
+                "response_time_since_sample": server.response_time_since_sample.hex(),
+                "total_queries": simulation.database.total_queries,
+                "invocations": [servlet.invocations for servlet in server.servlets],
+                "peak_workers": simulation.thread_pool.worker_threads,
+                "gc": (collector.minor_collections, collector.full_collections),
+            }
+        )
+    return nodes, engine.workload.total_requests_issued
+
+
 def assert_samples_identical(reference_engine, event_engine):
     """Every monitoring sample of every incarnation must match bit-for-bit.
 
     ``ClusterOutcome`` equality covers the aggregates; this covers the raw
     telemetry the predictor would consume, so a divergence that happens not
     to move the aggregates (e.g. a double-applied load-average step) cannot
-    hide.
+    hide.  The live incarnations' component counters must match too, so a
+    serving path that drops a counter no sample reads cannot hide either.
     """
     for reference_node, event_node in zip(reference_engine.nodes, event_engine.nodes):
         assert len(reference_node.incarnations) == len(event_node.incarnations)
         for reference_trace, event_trace in zip(reference_node.incarnations, event_node.incarnations):
             assert reference_trace.samples == event_trace.samples
+    assert component_counters(reference_engine) == component_counters(event_engine)
 
 
 def run_both(scenario, horizon_seconds, routing_factory=None, coordinator_factory=None, predictor=None):

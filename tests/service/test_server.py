@@ -71,6 +71,24 @@ def test_status_endpoints(live_server):
     assert _get(server, "/commands") == []
 
 
+def test_responses_are_sent_with_nagle_off(live_server, monkeypatch):
+    """A keep-alive response goes out as two writes (headers, then body);
+    with Nagle's algorithm on, the body would wait for the client's delayed
+    ACK, so every accepted socket must set TCP_NODELAY."""
+    server, _ = live_server
+    handler = server.RequestHandlerClass
+    setup = handler.setup
+    nodelay = []
+
+    def recording_setup(self):
+        setup(self)
+        nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(handler, "setup", recording_setup)
+    assert _get(server, "/fleet")["num_nodes"] == 3
+    assert nodelay and all(nodelay)
+
+
 @pytest.mark.parametrize("length", ["abc", "12abc"])
 def test_malformed_content_length_gets_400(live_server, length):
     """A Content-Length that does not parse is a 400, not a dropped connection."""

@@ -6,6 +6,12 @@ requests, drives the injectors and closes the tick.  The event-driven
 ``TestbedSimulation.run`` must reproduce its traces, crash times and
 sim-channel telemetry bit for bit.
 
+``handle_request`` is the reference object serving path: the server, thread
+pool, servlet, heap and database methods, one call each.  The serving kernel
+of ``repro.testbed.events`` fuses it and must leave every component field
+exactly where this path leaves it; both per-second reference loops (this one
+and ``tests/cluster/oracle.py``) serve through it.
+
 The :func:`per_second_engine` fixture swaps ``TestbedSimulation.run`` for
 this loop, so a whole experiment driver can be run through the reference
 in process and compared with its event-driven run.
@@ -14,13 +20,76 @@ in process and compared with its event-driven run.
 from __future__ import annotations
 
 import contextlib
+from dataclasses import dataclass
 
 import pytest
 
 from repro.telemetry.hub import ENGINE
+from repro.testbed.appserver.tomcat import TomcatServer
 from repro.testbed.engine import TestbedSimulation
 from repro.testbed.errors import ServerCrash
 from repro.testbed.monitoring.collector import Trace
+from repro.testbed.tpcw.interactions import Interaction
+
+
+@dataclass(frozen=True)
+class RequestOutcome:
+    """What happened to one request submitted to the server."""
+
+    interaction_name: str
+    response_time_s: float
+    queued: bool
+
+
+def handle_request(server: TomcatServer, interaction: Interaction) -> RequestOutcome:
+    """Serve one request on ``server``'s current tick and return its outcome.
+
+    The call allocates the interaction's transient memory (which may
+    trigger minor/major GCs or an OutOfMemoryError inside the heap),
+    performs the interaction's database queries and computes the response
+    time from the base service demand inflated by thread contention.
+    """
+    server._concurrent_this_tick += 1
+    server.thread_pool.set_concurrency(server._concurrent_this_tick)
+    queued = server._concurrent_this_tick > server.thread_pool.worker_threads
+
+    servlet = server.servlets.get(interaction.name)
+    servlet.invoke()
+
+    server.heap.allocate_transient(server.config.request_memory_mb * interaction.memory_factor)
+    db_time = server.database.execute_queries(interaction.db_queries)
+
+    service_time = server.config.base_service_time_s * interaction.service_demand_factor
+    contention = contention_factor(server)
+    response_time = service_time * contention + db_time
+    if queued:
+        # A request that had to wait for a worker sees roughly one extra
+        # service quantum of queueing delay.
+        response_time += service_time
+
+    server.total_requests += 1
+    server.requests_since_sample += 1
+    server.response_time_since_sample += response_time
+    if queued:
+        server.queued_since_sample += 1
+    return RequestOutcome(interaction.name, response_time, queued)
+
+
+def contention_factor(server: TomcatServer) -> float:
+    """Response-time inflation due to CPU and thread contention.
+
+    A light-weight M/M/c-style approximation: response time grows with the
+    ratio of in-flight requests to cores, and sharply once the heap is
+    nearly full (GC pressure) -- the gradual performance degradation that,
+    per the paper, accompanies software aging.
+    """
+    in_flight = max(server._concurrent_this_tick, 1)
+    cpu_pressure = in_flight / (server.config.cpu_cores * 4.0)
+    heap_pressure = 0.0
+    headroom_fraction = server.heap.headroom_mb / max(server.heap.old_max_mb, 1.0)
+    if headroom_fraction < 0.10:
+        heap_pressure = (0.10 - headroom_fraction) * 30.0
+    return 1.0 + cpu_pressure + heap_pressure
 
 
 def run_per_second(simulation: TestbedSimulation, max_seconds: float = 4 * 3600.0) -> Trace:
@@ -50,7 +119,7 @@ def _run_one_tick(simulation: TestbedSimulation, now: float) -> int:
     """
     issued = simulation.workload.tick(simulation.config.tick_seconds)
     for browser, interaction in issued:
-        outcome = simulation.serve(interaction)
+        outcome = handle_request(simulation.server, interaction)
         browser.start_request(outcome.response_time_s)
     simulation.drive_injectors(now)
     return len(issued)

@@ -1,4 +1,11 @@
-"""Tests for the thread pool, servlets, Tomcat server, database and OS model."""
+"""Tests for the thread pool, servlets, Tomcat server, database and OS model.
+
+Requests are served the way the program serves them, through the serving
+kernel of ``repro.testbed.events``; ``TestServingKernel`` pins the kernel to
+the reference object path kept in ``tests/testbed/oracle.py``.
+"""
+
+import random
 
 import pytest
 
@@ -7,13 +14,19 @@ from repro.testbed.appserver.thread_pool import ThreadPool
 from repro.testbed.appserver.tomcat import TomcatServer
 from repro.testbed.config import MachineDescription, TestbedConfig
 from repro.testbed.database.mysql import MySQLServer
-from repro.testbed.errors import ThreadExhaustionError
+from repro.testbed.errors import OutOfMemoryError, ThreadExhaustionError
+from repro.testbed.events import serving_kernel
+from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.jvm.heap import GenerationalHeap
 from repro.testbed.osmodel.system import OperatingSystem
-from repro.testbed.tpcw.interactions import interaction_by_name
+from repro.testbed.tpcw.interactions import INTERACTIONS
+from tests.testbed.oracle import handle_request
+
+#: Kernel index of each interaction (the kernel serves ``INTERACTIONS[i]``).
+INDEX = {interaction.name: index for index, interaction in enumerate(INTERACTIONS)}
 
 
-def make_server(config=None):
+def make_server(config=None, database=None):
     config = config or TestbedConfig()
     heap = GenerationalHeap(
         young_capacity_mb=config.young_capacity_mb,
@@ -23,8 +36,46 @@ def make_server(config=None):
         old_resize_step_mb=config.old_resize_step_mb,
     )
     pool = ThreadPool(config.base_worker_threads, config.max_threads)
-    database = MySQLServer()
+    database = database or MySQLServer()
     return TomcatServer(config, heap, pool, database), heap, pool, database
+
+
+def serving(server):
+    """``serve(name) -> response time`` through the kernel built over ``server``."""
+    kernel = serving_kernel(server)
+    return lambda name: kernel(INDEX[name])
+
+
+def component_state(server):
+    """Every field serving a request can write, floats as exact hex."""
+    heap, pool, database = server.heap, server.thread_pool, server.database
+    return {
+        "server": (
+            server._concurrent_this_tick,
+            server.total_requests,
+            server.requests_since_sample,
+            server.queued_since_sample,
+            server.response_time_since_sample.hex(),
+        ),
+        "pool": (pool.busy_workers, pool.worker_threads, pool.leaked_threads),
+        "database": (database.active_connections, database.total_queries),
+        "servlets": [servlet.invocations for servlet in server.servlets],
+        "heap": [
+            value.hex()
+            for value in (
+                heap._young_used,
+                heap._old_committed,
+                heap._old_leaked,
+                heap._old_retained,
+                heap._old_floating,
+            )
+        ],
+        "gc": (
+            heap.collector.minor_collections,
+            heap.collector.full_collections,
+            heap.collector.resizes,
+        ),
+    }
 
 
 class TestThreadPool:
@@ -125,32 +176,35 @@ class TestServletRegistry:
 class TestTomcatServer:
     def test_request_produces_positive_response_time(self):
         server, _, _, _ = make_server()
+        serve = serving(server)
         server.begin_tick()
-        outcome = server.handle_request(interaction_by_name("home"))
-        assert outcome.response_time_s > 0
+        assert serve("home") > 0
         assert server.total_requests == 1
 
     def test_request_allocates_transient_memory(self):
         server, heap, _, _ = make_server()
+        serve = serving(server)
         server.begin_tick()
         before = heap.young_used_mb
-        server.handle_request(interaction_by_name("best_sellers"))
+        serve("best_sellers")
         assert heap.young_used_mb > before
 
     def test_response_time_grows_with_concurrency(self):
         server, _, _, _ = make_server()
+        serve = serving(server)
         server.begin_tick()
-        first = server.handle_request(interaction_by_name("home")).response_time_s
+        first = serve("home")
         for _ in range(60):
-            server.handle_request(interaction_by_name("home"))
-        last = server.handle_request(interaction_by_name("home")).response_time_s
+            serve("home")
+        last = serve("home")
         assert last > first
 
     def test_sample_counters_drain(self):
         server, _, _, _ = make_server()
+        serve = serving(server)
         server.begin_tick()
         for _ in range(5):
-            server.handle_request(interaction_by_name("home"))
+            serve("home")
         requests, total_response, _ = server.drain_sample_counters()
         assert requests == 5
         assert total_response > 0
@@ -170,9 +224,65 @@ class TestTomcatServer:
 
     def test_servlet_invocations_recorded(self):
         server, _, _, _ = make_server()
+        serve = serving(server)
         server.begin_tick()
-        server.handle_request(interaction_by_name("search_request"))
+        serve("search_request")
         assert server.servlets.get("search_request").invocations == 1
+
+
+class TestServingKernel:
+    """The kernel leaves every component field where the object path does."""
+
+    @staticmethod
+    def _twin_servers(fast_config):
+        """Two identical servers: a leaking search servlet, a small JDBC pool
+        and 70 leaked threads that cap the workers below a tick's load."""
+        servers = []
+        for _ in range(2):
+            server, _, pool, _ = make_server(fast_config, MySQLServer(max_connections=8))
+            MemoryLeakInjector(n=2, leak_mb=4.0, seed=5).attach(server)
+            pool.leak(70)
+            servers.append(server)
+        return servers
+
+    def test_kernel_matches_reference_handle_request(self, fast_config):
+        """Request by request, over ticks of 30 requests, through worker
+        saturation, JDBC-pool saturation, minor GCs, Old-zone resizes, GC
+        pressure near a full heap and the OutOfMemoryError that ends it, the
+        response times are bit-for-bit equal and so is every component."""
+        kernel_server, reference_server = self._twin_servers(fast_config)
+        serve = serving_kernel(kernel_server)
+        rng = random.Random(21)
+        crashes = []
+        pressured = False  # a request saw the Old zone over 90% full
+        for _ in range(200):
+            for server in (kernel_server, reference_server):
+                server.begin_tick()
+                server.database.begin_tick()
+            for _ in range(30):
+                index = rng.randrange(len(INTERACTIONS))
+                try:
+                    response_time = serve(index)
+                except OutOfMemoryError:
+                    crashes.append("kernel")
+                try:
+                    outcome = handle_request(reference_server, INTERACTIONS[index])
+                except OutOfMemoryError:
+                    crashes.append("reference")
+                assert component_state(kernel_server) == component_state(reference_server)
+                if crashes:
+                    break
+                assert response_time.hex() == outcome.response_time_s.hex()
+                heap = kernel_server.heap
+                pressured = pressured or heap.headroom_mb < 0.10 * heap.old_max_mb
+            if crashes:
+                break
+        assert crashes == ["kernel", "reference"]  # both died on the same request
+        state = component_state(kernel_server)
+        assert state["server"][3] > 0  # requests queued for a worker
+        assert state["database"][0] == 8  # the JDBC pool saturated
+        assert state["gc"][0] > 0 and state["gc"][2] > 0  # minor GCs and resizes
+        assert pressured
 
 
 class TestMySQLServer:

@@ -7,11 +7,12 @@ from repro.testbed.appserver.tomcat import TomcatServer
 from repro.testbed.config import TestbedConfig
 from repro.testbed.database.mysql import MySQLServer
 from repro.testbed.errors import ThreadExhaustionError
+from repro.testbed.events import serving_kernel
 from repro.testbed.faults.memory_leak import MemoryLeakInjector
 from repro.testbed.faults.periodic import PeriodicPatternInjector, PeriodicPhase
 from repro.testbed.faults.thread_leak import ThreadLeakInjector
 from repro.testbed.jvm.heap import GenerationalHeap
-from repro.testbed.tpcw.interactions import interaction_by_name
+from repro.testbed.tpcw.interactions import INTERACTIONS, interaction_by_name
 
 
 def make_server():
@@ -27,11 +28,16 @@ def make_server():
     return TomcatServer(config, heap, pool, MySQLServer()), heap, pool
 
 
+#: Kernel indices (the serving kernel serves ``INTERACTIONS[i]``).
+SEARCH = INTERACTIONS.index(interaction_by_name("search_request"))
+HOME = INTERACTIONS.index(interaction_by_name("home"))
+
+
 def drive_search_requests(server, count):
+    serve = serving_kernel(server)
     server.begin_tick()
-    search = interaction_by_name("search_request")
     for _ in range(count):
-        server.handle_request(search)
+        serve(SEARCH)
 
 
 class TestMemoryLeakInjector:
@@ -49,9 +55,10 @@ class TestMemoryLeakInjector:
         server, heap, _ = make_server()
         injector = MemoryLeakInjector(n=5, seed=1)
         injector.attach(server)
+        serve = serving_kernel(server)
         server.begin_tick()
         for _ in range(200):
-            server.handle_request(interaction_by_name("home"))
+            serve(HOME)
         assert injector.total_injections == 0
         assert heap.leaked_mb == 0.0
 
